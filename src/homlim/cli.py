@@ -163,6 +163,16 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return tuple(parse_quantity(part) for part in text.split(","))
 
 
+def _volumes(text: str | None, v0: float, V: float, points: int):
+    """--v of scale and laws: a comma list, LO:HI:POINTS, or `points` log volumes v0..V."""
+    if text is None:
+        return AxisSpec("v", v0, V, points, "log").values()
+    if ":" in text:
+        lo, hi, n = text.split(":")
+        return AxisSpec("v", parse_quantity(lo), parse_quantity(hi), int(n), "log").values()
+    return _parse_values(text)
+
+
 _SPEC_OPTIONS = [
     click.option("--machine", default="ideal", show_default=True,
                  help="Machine preset name, or 'ideal'."),
@@ -319,13 +329,7 @@ def scale(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefacto
     policy = KPolicy(k_)
     if v0 is None:
         v0 = spec.V * DEFAULT_V0_FACTOR
-    if v_ is None:
-        volumes = AxisSpec("v", v0, spec.V, 20, "log").values()
-    elif ":" in v_:
-        lo, hi, points = v_.split(":")
-        volumes = AxisSpec("v", parse_quantity(lo), parse_quantity(hi), int(points), "log").values()
-    else:
-        volumes = _parse_values(v_)
+    volumes = _volumes(v_, v0, spec.V, 20)
 
     lines = [f"# homlim scale mode={mode} machine={machine} alg={cost.name} "
              f"n0={_fmt(n0)} v0={_fmt(v0)} seed={seed}"]
@@ -367,13 +371,7 @@ def laws(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefactor
     cost = _resolve_cost(alg, cfg)
     if v0 is None:
         v0 = spec.V * DEFAULT_V0_FACTOR
-    if v_ is None:
-        volumes = AxisSpec("v", v0, spec.V, 10, "log").values()
-    elif ":" in v_:
-        lo, hi, points = v_.split(":")
-        volumes = AxisSpec("v", parse_quantity(lo), parse_quantity(hi), int(points), "log").values()
-    else:
-        volumes = _parse_values(v_)
+    volumes = _volumes(v_, v0, spec.V, 10)
 
     label = "speedup" if law == "amdahl" else "scaled_speedup"
     lines = [f"# homlim laws law={law} machine={machine} alg={cost.name} "

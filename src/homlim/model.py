@@ -122,11 +122,14 @@ def time_breakdown(spec: ComputerSpec, cost: AlgorithmCost, n: float, v: float) 
     if n < 1:
         raise ValueError(f"problem size n={n!r} must be >= 1")
 
-    W = cost.work(n)
-    Q = cost.io(n, spec.s * v)
+    try:
+        W = cost.work(n)
+        Q = cost.io(n, spec.s * v)
+        t_lat = spec.distance(cost.wavefront(v, n)) / spec.c
+    except OverflowError as exc:
+        raise EvaluationError(f"cost overflowed a double (n={n!r}, v={v!r})") from exc
     t_work = _ratio(W, spec.pi, v)
     t_io = _ratio(Q, spec.beta, v)
-    t_lat = spec.distance(cost.wavefront(v, n)) / spec.c
     total = t_work + t_io + t_lat
     for name, value in (("t_work", t_work), ("t_io", t_io), ("t_lat", t_lat), ("total", total)):
         if not math.isfinite(value):
@@ -155,37 +158,33 @@ class VolumeSolution:
     opt: OptResult
 
 
-def optimal_volume(
-    spec: ComputerSpec,
-    cost: AlgorithmCost,
-    n: float,
-    rel_tol: float = 1e-9,
-    max_iter: int = 200,
-    grid_points: int = 256,
-    grid_rounds: int = 3,
-) -> VolumeSolution:
+def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeSolution:
     """Minimize total time over the active volume, searching in log(v).
 
-    Brent handles the (empirically unimodal) built-in costs; custom costs and
-    non-converged runs additionally go through grid refinement.
+    Brent's method plus the two bracket ends runs for every cost; grid
+    refinement runs only when Brent does not converge.
     """
     lo = math.log(spec.V) + math.log(V_FLOOR_FACTOR)
     hi = math.log(spec.V)
 
+    def volume(x: float) -> float:
+        # The bracket ends are the floor and V exactly; exp can miss them by an ulp.
+        if x <= lo:
+            return spec.V * V_FLOOR_FACTOR
+        return spec.V if x >= hi else min(math.exp(x), spec.V)
+
     def objective(x: float) -> float:
-        # exp(log(V)) can land one ulp above V; clamp to stay feasible.
-        return time_breakdown(spec, cost, n, min(math.exp(x), spec.V)).total
+        return time_breakdown(spec, cost, n, volume(x)).total
 
     try:
-        result = minimize_bounded(objective, lo, hi, rel_tol=rel_tol, max_iter=max_iter)
-        if not result.converged or cost.name == "CUSTOM":
-            refined = grid_refine(objective, lo, hi, points=grid_points, rounds=grid_rounds)
-            if refined.f_star < result.f_star or not result.converged:
-                result = refined
+        # Every CostCoefficients term is convex in log v: Brent plus the ends finds the minimum.
+        result = minimize_bounded(objective, lo, hi)
+        if not result.converged:
+            result = grid_refine(objective, lo, hi)
     except (ValueError, EvaluationError) as exc:
         raise OptimizationError(f"volume minimization failed: {exc}") from exc
 
-    v_star = min(math.exp(result.x_star), spec.V)
+    v_star = volume(result.x_star)
     breakdown = time_breakdown(spec, cost, n, v_star)
     return VolumeSolution(v_star=v_star, breakdown=breakdown,
                           regime=classify_regime(breakdown), opt=result)

@@ -1,7 +1,7 @@
 """Bounded one-dimensional minimization.
 
-Brent-style minimizer (golden-section with parabolic interpolation) plus a
-grid-refinement fallback for objectives that are not reliably unimodal.
+Brent's method (golden section with parabolic interpolation) plus both bracket
+ends, with grid refinement as the fallback when Brent does not converge.
 """
 from __future__ import annotations
 
@@ -49,10 +49,11 @@ def minimize_bounded(
     max_iter: int = 200,
     abs_tol: float = 1e-12,
 ) -> OptResult:
-    """Minimize f on [lo, hi] with Brent's method.
+    """Minimize f on [lo, hi]: the best of Brent's point and both bracket ends.
 
-    Returns the best point found; ``converged`` is False when max_iter was
-    exhausted before the bracket shrank below tolerance.
+    Brent stops one tolerance short of a bound, so the ends are tried too; an
+    end where f raises ArithmeticError or is not finite is skipped.
+    ``converged`` is False when max_iter ran out before the bracket shrank.
     """
     if not lo < hi:
         raise ValueError(f"invalid bracket: lo={lo!r} must be < hi={hi!r}")
@@ -119,6 +120,14 @@ def minimize_bounded(
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
 
+    for end in (lo, hi):
+        try:
+            f_end = f(end)
+        except ArithmeticError:
+            continue
+        if math.isfinite(f_end) and f_end < fx:
+            x, fx = end, f_end
+
     return OptResult(x_star=x, f_star=fx, iterations=it, converged=converged, method="brent")
 
 
@@ -132,7 +141,8 @@ def grid_refine(
     """Repeated grid search, recursing on the bracket around the best sample.
 
     Robust against multimodal objectives; the result is never worse than the
-    best grid sample seen. Uses geometric spacing when the interval allows it.
+    best grid sample seen. The grid is linear in x, so callers that search in
+    log coordinates pass log bounds.
     """
     if points < 8:
         raise ValueError("points must be >= 8")
@@ -146,14 +156,9 @@ def grid_refine(
     evals = 0
     a, b = lo, hi
     for _ in range(rounds):
-        if a > 0 and b / a > 10.0:
-            grid = np.geomspace(a, b, points)
-        else:
-            grid = np.linspace(a, b, points)
-        vals = []
-        for x in grid:
-            vals.append(_checked(f, float(x)))
-            evals += 1
+        grid = np.linspace(a, b, points)
+        vals = [_checked(f, float(x)) for x in grid]
+        evals += points
         i = int(np.argmin(vals))
         if vals[i] < best_f:
             best_f = vals[i]

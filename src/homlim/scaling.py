@@ -1,18 +1,21 @@
 """Strong/weak parallel efficiency and the generalized Amdahl/Gustafson laws.
 
-Efficiencies evaluate f at the given volumes as-is; set reoptimize=True to
-compare minimized times instead (exploratory use only).
+Efficiencies evaluate f at the given volumes as-is.
 """
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .costs import AlgorithmCost
-from .model import ComputerSpec, TimeBreakdown, optimal_volume, time_breakdown
+from .model import ComputerSpec, EvaluationError, TimeBreakdown, time_breakdown
+from .model import optimal_volume  # noqa: F401  (benchmarks/tracer.py patches it here)
 
 # Scaling baseline when no explicit v0 is given.
 DEFAULT_V0_FACTOR = 1e-6
+# Largest log(n) with n representable as a double.
+LOG_N_MAX = math.log(sys.float_info.max)
 
 
 class KPolicy(Enum):
@@ -24,11 +27,15 @@ class KPolicy(Enum):
 
 
 def k_value(policy: KPolicy, cost: AlgorithmCost, n: float) -> float:
-    if policy is KPolicy.OUTPUT_SIZE:
-        return cost.output_size(n)
-    if policy is KPolicy.INPUT_N:
-        return float(n)
-    return cost.work(n)
+    """K(n) under the policy; inf when it overflows a double."""
+    try:
+        if policy is KPolicy.OUTPUT_SIZE:
+            return cost.output_size(n)
+        if policy is KPolicy.INPUT_N:
+            return float(n)
+        return cost.work(n)
+    except OverflowError:
+        return math.inf
 
 
 def invert_k(policy: KPolicy, cost: AlgorithmCost, target: float,
@@ -43,10 +50,10 @@ def invert_k(policy: KPolicy, cost: AlgorithmCost, target: float,
     lo = 0.0  # log n
     hi = math.log(2.0)
     while k_value(policy, cost, math.exp(hi)) < target:
+        if hi == LOG_N_MAX:
+            raise EvaluationError(f"target {target!r} above K(n) for every representable n")
         lo = hi
-        hi *= 2.0
-        if hi > 700.0:
-            raise ValueError(f"target {target!r} out of representable range")
+        hi = min(2.0 * hi, LOG_N_MAX)
 
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
@@ -60,31 +67,24 @@ def invert_k(policy: KPolicy, cost: AlgorithmCost, target: float,
     return math.exp(0.5 * (lo + hi))
 
 
-def _total(spec: ComputerSpec, cost: AlgorithmCost, n: float, v: float,
-           reoptimize: bool) -> float:
-    if reoptimize:
-        return optimal_volume(spec, cost, n).breakdown.total
-    return time_breakdown(spec, cost, n, v).total
-
-
 def strong_efficiency(spec: ComputerSpec, cost: AlgorithmCost, n: float,
-                      v0: float, v: float, reoptimize: bool = False) -> float:
+                      v0: float, v: float) -> float:
     """P_eff = f(v0)*v0 / (f(v)*v) at fixed problem size."""
     if v < v0:
         raise ValueError(f"v={v!r} must be >= v0={v0!r}")
-    f0 = _total(spec, cost, n, v0, reoptimize)
-    fv = _total(spec, cost, n, v, reoptimize)
+    f0 = time_breakdown(spec, cost, n, v0).total
+    fv = time_breakdown(spec, cost, n, v).total
     return (f0 * v0) / (fv * v)
 
 
 def weak_efficiency(spec: ComputerSpec, cost: AlgorithmCost, k: KPolicy,
-                    n0: float, v0: float, v: float, reoptimize: bool = False) -> float:
+                    n0: float, v0: float, v: float) -> float:
     """P_weak = f(v, n) / f(v0, n0) with n solved from K(n)/v = K(n0)/v0."""
     if v < v0:
         raise ValueError(f"v={v!r} must be >= v0={v0!r}")
     n = invert_k(k, cost, k_value(k, cost, n0) * v / v0)
-    f0 = _total(spec, cost, n0, v0, reoptimize)
-    fv = _total(spec, cost, n, v, reoptimize)
+    f0 = time_breakdown(spec, cost, n0, v0).total
+    fv = time_breakdown(spec, cost, n, v).total
     return fv / f0
 
 
@@ -119,16 +119,6 @@ def speedup_limit(spec: ComputerSpec, cost: AlgorithmCost, n: float, v0: float) 
     if b.t_lat == 0.0:
         return math.inf
     return b.total / b.t_lat
-
-
-def achievable_speedup(spec: ComputerSpec, cost: AlgorithmCost, n: float,
-                       v0: float, v: float) -> float:
-    """Variant ceiling T(v0)/T_L(v) using the latency at the scaled volume."""
-    b0 = time_breakdown(spec, cost, n, v0)
-    bv = time_breakdown(spec, cost, n, v)
-    if bv.t_lat == 0.0:
-        return math.inf
-    return b0.total / bv.t_lat
 
 
 def scaled_speedup(spec: ComputerSpec, cost: AlgorithmCost, n0: float,

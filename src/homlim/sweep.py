@@ -61,7 +61,9 @@ class AxisSpec:
         if self.explicit is not None:
             return np.asarray(self.explicit, dtype=float)
         if self.spacing == "log":
-            return np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
+            values = np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
+            values[[0, -1]] = self.lo, self.hi  # logspace can miss its ends by an ulp
+            return values
         return np.linspace(self.lo, self.hi, self.points)
 
 

@@ -87,6 +87,15 @@ class TestSolve:
         assert result.exit_code == 0
         assert json.loads(result.output)["algorithm"] == "CUSTOM"
 
+    def test_cost_overflow_exit_1_without_traceback(self, runner):
+        result = runner.invoke(main, ["solve", "--machine", "frontier",
+                                      "--alg", "mxm", "--n", "1e120"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.startswith("Error: ")
+        assert len(result.output.strip().splitlines()) == 1
+
 
 class TestSweep:
     def test_csv_contract(self, runner):
@@ -125,6 +134,21 @@ class TestSweep:
                 if l and not l.startswith("#")]
         assert len(data) == 1 + 3
 
+    def test_cost_overflow_gives_error_rows(self, runner):
+        result = runner.invoke(main, ["sweep", "--machine", "frontier", "--alg", "mxm",
+                                      "--axis", "n:1e100:1e120:3"])
+        assert result.exit_code == 0
+        rows = [l for l in result.output.splitlines() if l and not l.startswith("#")][1:]
+        assert len(rows) == 3
+        assert ",error:" not in rows[0]
+        assert all(",error:" in row for row in rows[1:])
+
+    def test_volume_axis_ends_on_v(self, runner):
+        result = runner.invoke(main, ["sweep", "--machine", "fugaku", "--n", "1e9",
+                                      "--axis", "v:1:1920:5"])
+        assert result.exit_code == 0
+        assert "error" not in result.output
+
     def test_missing_n_exit_2(self, runner):
         result = runner.invoke(main, ["sweep", "--axis", "pi:1:10:3"])
         assert result.exit_code == 2
@@ -161,6 +185,23 @@ class TestScale:
         lines = [l for l in result.output.splitlines() if not l.startswith("#")]
         ns = [float(l.split(",")[1]) for l in lines[1:]]
         assert ns == pytest.approx([1e9, 1e10, 1e11], rel=1e-6)
+
+    def test_readme_weak_example(self, runner):
+        result = runner.invoke(main, ["scale", "--machine", "fugaku", "--alg", "fft",
+                                      "--mode", "weak", "--n0", "1e9", "--k", "output"])
+        assert result.exit_code == 0
+        lines = [l for l in result.output.splitlines() if not l.startswith("#")]
+        assert len(lines) == 21
+        assert float(lines[-1].split(",")[0]) == 1920.0
+
+    def test_unreachable_weak_target_exit_1(self, runner, tmp_path):
+        cfg = tmp_path / "sqrt.cfg"
+        cfg.write_text("cost_out_exp = 0.5\n")
+        result = runner.invoke(main, ["scale", "--alg", "custom", "--config", str(cfg),
+                                      "--mode", "weak", "--n0", "1e300", "--v0", "1",
+                                      "--v", "1,1e20", "--k", "output"])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
 
     def test_v_below_v0_exit_2(self, runner):
         result = runner.invoke(main, ["scale", "--mode", "strong", "--n0", "1e6",

@@ -1,0 +1,37 @@
+"""Golden CLI output: the stdout of a fixed set of commands, byte for byte.
+
+After an intended output change, rewrite tests/golden/NAME.txt with the stdout
+of `homlim ARGS` (run from the repository root) and review the diff.
+"""
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from homlim.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "solve-pinned-json": ["solve", "--machine", "frontier", "--alg", "mxm", "--n", "1e9"],
+    "solve-interior-json": ["solve", "--machine", "frontier", "--alg", "cg", "--n", "1e9"],
+    "solve-custom-table": ["solve", "--config", str(GOLDEN / "custom.cfg"), "--n", "1e6",
+                           "--format", "table"],
+    "sweep-readme": ["sweep", "--machine", "frontier,fugaku", "--alg", "mxm,cg,fft",
+                     "--axis", "n:1e3:1e30:20"],
+    "scale-strong": ["scale", "--machine", "frontier", "--alg", "cg", "--mode", "strong",
+                     "--n0", "1e12"],
+    "scale-weak": ["scale", "--machine", "fugaku", "--alg", "fft", "--mode", "weak",
+                   "--n0", "1e9", "--k", "output"],
+    "laws-amdahl": ["laws", "--law", "amdahl", "--machine", "fugaku", "--alg", "cg",
+                    "--n0", "1e9"],
+    "laws-gustafson": ["laws", "--law", "gustafson", "--machine", "frontier", "--alg", "fft",
+                       "--n0", "1e9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    result = CliRunner().invoke(main, CASES[name])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (GOLDEN / f"{name}.txt").read_text()

@@ -127,6 +127,18 @@ def test_optimal_volume_clips_at_total_volume():
     assert sol.v_star == pytest.approx(spec.V, rel=1e-6)
 
 
+def test_optimal_volume_pinned_at_v_is_exact():
+    spec = preset("frontier")
+    sol = optimal_volume(spec, mxm_cost(), 1e9)
+    assert sol.v_star == spec.V
+
+
+def test_cost_overflow_raises_evaluation_error():
+    # 2*n**3 overflows a double for n above about 5.6e102.
+    with pytest.raises(EvaluationError):
+        time_breakdown(preset("frontier"), mxm_cost(), 1e120, 1.0)
+
+
 def test_optimal_volume_never_exceeds_v():
     spec = preset("frontier")
     for n in (1e3, 1e9, 1e15, 1e24):
@@ -134,13 +146,13 @@ def test_optimal_volume_never_exceeds_v():
         assert 0.0 < sol.v_star <= spec.V
 
 
-def test_optimal_volume_custom_cost_uses_grid_fallback():
+def test_optimal_volume_custom_cost_beats_manual_scan():
     from homlim.costs import CostCoefficients, custom_cost
 
     spec = ComputerSpec(pi=1, beta=1, s=1, c=1, V=10)
     cost = custom_cost(CostCoefficients(a=1.0, p=1.0, b=1.0, w=1.0, g=1.0, h=1.0))
     sol = optimal_volume(spec, cost, n=100)
-    assert sol.opt.method in ("brent", "grid_refined")
+    assert sol.opt.method == "brent"
     # Result beats a coarse manual scan.
     import numpy as np
     manual = min(time_breakdown(spec, cost, 100, float(v)).total

@@ -21,6 +21,29 @@ def test_minimum_at_boundary():
     assert r.x_star == pytest.approx(2.0, abs=1e-6)
 
 
+def test_minimum_on_bound_is_exact():
+    # Brent alone stops one tolerance short of a bound; the end check lands on it.
+    r = minimize_bounded(lambda x: -x, 2.0, 5.0)
+    assert r.x_star == 5.0
+    assert r.f_star == -5.0
+    r = minimize_bounded(lambda x: math.exp(x), -3.0, 4.0)
+    assert r.x_star == -3.0
+
+
+def test_failing_bracket_end_is_skipped():
+    def f(x):
+        if x == 5.0:
+            raise OverflowError("end not representable")
+        return -x
+
+    r = minimize_bounded(f, 2.0, 5.0)
+    assert r.x_star == pytest.approx(5.0, abs=1e-6)
+    assert r.x_star < 5.0
+    r = minimize_bounded(lambda x: math.inf if x == 2.0 else x, 2.0, 5.0)
+    assert r.x_star == pytest.approx(2.0, abs=1e-6)
+    assert math.isfinite(r.f_star)
+
+
 def test_flat_objective():
     r = minimize_bounded(lambda x: 7.0, -1.0, 1.0)
     assert r.converged
@@ -66,9 +89,12 @@ def test_grid_refine_multimodal():
     assert r.f_star < 0.01
 
 
-def test_grid_refine_geometric_spacing():
-    r = grid_refine(lambda x: (math.log10(x) - 3.0) ** 2, 1e-6, 1e12, points=64, rounds=4)
-    assert r.x_star == pytest.approx(1e3, rel=0.05)
+def test_grid_refine_linear_in_log_coordinates():
+    # Log-volume bounds as optimal_volume passes them for V = e^69.6: the grid
+    # is linear in x, so one round lands within half a step of the minimum.
+    lo, hi, points = 0.52, 69.6, 16
+    r = grid_refine(lambda x: (x - 40.0) ** 2, lo, hi, points=points, rounds=1)
+    assert abs(r.x_star - 40.0) <= 0.5 * (hi - lo) / (points - 1)
 
 
 def test_grid_refine_idempotent_from_bracket():

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from homlim.costs import cg_cost, fft_cost, mxm_cost
+from homlim.costs import CostCoefficients, cg_cost, custom_cost, fft_cost, mxm_cost
 from homlim.machines import preset
-from homlim.model import ComputerSpec, time_breakdown
-from homlim.scaling import (KPolicy, achievable_speedup, generalized_speedup,
-                            invert_k, k_value, parallel_fraction,
+from homlim.model import ComputerSpec, EvaluationError, time_breakdown
+from homlim.scaling import (KPolicy, generalized_speedup, invert_k, k_value, parallel_fraction,
                             scaled_problem_size, scaled_speedup, speedup_limit,
                             strong_efficiency, weak_efficiency)
 
@@ -35,6 +34,19 @@ class TestKPolicy:
             invert_k(KPolicy.INPUT_N, cg_cost(), 0.0)
         with pytest.raises(ValueError):
             invert_k(KPolicy.INPUT_N, cg_cost(), 0.5)
+
+    def test_invert_above_1e154(self):
+        assert invert_k(KPolicy.INPUT_N, cg_cost(), 1e155) == pytest.approx(1e155, rel=1e-8)
+
+    def test_invert_counts_overflow_as_above_target(self):
+        # W = 2n**3 overflows at the bracket's n = 2**512, before reaching the target.
+        n = invert_k(KPolicy.WORK, mxm_cost(), 1e300)
+        assert n == pytest.approx((0.5e300) ** (1.0 / 3.0), rel=1e-8)
+
+    def test_invert_unreachable_target_is_evaluation_error(self):
+        sqrt_out = custom_cost(CostCoefficients(out_exp=0.5))
+        with pytest.raises(EvaluationError):
+            invert_k(KPolicy.OUTPUT_SIZE, sqrt_out, 1e200)
 
 
 class TestStrongScaling:
@@ -99,12 +111,6 @@ class TestLaws:
         no_lat = AlgorithmCost("NL", io=lambda n, S: 1.0, work=lambda n: 1.0,
                                wavefront=lambda v, n: 0.0, output_size=lambda n: n)
         assert speedup_limit(SPEC, no_lat, 10.0, 1.0) == math.inf
-
-    def test_achievable_variant(self):
-        cost = cg_cost()
-        s = achievable_speedup(SPEC, cost, 1e9, 1.0, 100.0)
-        assert s > 1.0
-        assert math.isfinite(s)
 
 
 def test_parallel_fraction_complements_latency():

@@ -17,6 +17,12 @@ class TestAxisSpec:
         ax = AxisSpec("pi", 1.0, 1e4, 5, "log")
         assert np.allclose(ax.values(), [1, 10, 100, 1e3, 1e4])
 
+    def test_log_values_end_exactly_on_bounds(self):
+        # np.logspace alone ends at 1920.0000000000002, one ulp above Fugaku's V.
+        vals = AxisSpec("v", 1.0, 1920.0, 5, "log").values()
+        assert vals[0] == 1.0
+        assert vals[-1] == 1920.0
+
     def test_linear_values(self):
         ax = AxisSpec("n", 0.0, 10.0, 11, "linear")
         assert np.allclose(ax.values(), np.arange(11.0))
