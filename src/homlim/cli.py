@@ -2,24 +2,25 @@
 
 Exit codes: 0 success, 1 computation failure, 2 configuration or validation
 failure. All numeric flags accept scientific notation and the convenience
-suffixes Pflop/s, PB/s, TB, mm2, etc.
+suffixes Pflop/s, PB/s, TB, mm2, etc. A --config file of key=value lines
+supplies option defaults, keyed by option name; explicit flags override it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .costs import AlgorithmCost, BUILTIN_COSTS, CostCoefficients, custom_cost
-from .machines import available_presets, get_preset, preset
-from .model import (ComputerSpec, CUBE_ROOT, DistanceFn, EvaluationError,
-                    OptimizationError, classify_regime, optimal_volume,
-                    time_breakdown)
+from .machines import available_presets, get_preset, preset, read_key_values
+from .model import (ComputerSpec, CUBE_ROOT, DistanceFn, OptimizationError,
+                    classify_regime, optimal_volume, time_breakdown)
 from .scaling import (DEFAULT_V0_FACTOR, KPolicy, generalized_speedup,
                       scaled_problem_size, scaled_speedup, speedup_limit,
                       strong_efficiency, weak_efficiency)
@@ -37,16 +38,22 @@ _SUFFIXES = {
     "EB": 1e18, "PB": 1e15, "TB": 1e12, "GB": 1e9, "MB": 1e6, "KB": 1e3, "B": 1.0,
     "mm2": 1e-6, "cm2": 1e-4, "m2": 1.0, "m3": 1.0, "m/s": 1.0, "m": 1.0,
 }
+# A decimal number, then an optional unit suffix, which starts with a letter.
+_QUANTITY_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                          r"\s*([A-Za-z].*)?")
+
+# The --alg custom coefficients, read from the config keys cost_<field>.
+_COST_FIELDS = ("a", "p", "q", "r", "b", "w", "l", "g", "h", "k", "out_exp")
 
 
 def parse_quantity(text: str) -> float:
     """'1e12', '122.3PB/s', '826mm2' ... -> SI base value."""
     text = text.strip()
-    m = re.fullmatch(r"([+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)\s*(.*)", text)
+    m = _QUANTITY_RE.fullmatch(text)
     if not m:
         raise click.UsageError(f"cannot parse number {text!r}")
-    value, suffix = float(m.group(1)), m.group(2).strip()
-    if not suffix:
+    value, suffix = float(m.group(1)), m.group(2)
+    if suffix is None:
         return value
     if suffix not in _SUFFIXES:
         raise click.UsageError(f"unknown unit suffix {suffix!r} in {text!r}")
@@ -68,65 +75,24 @@ class Quantity(click.ParamType):
 QUANTITY = Quantity()
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise click.UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-def _resolve_spec(machine: str, cfg: dict[str, str], overrides: dict[str, float | None]) -> ComputerSpec:
-    if machine == "ideal":
-        spec = IDEAL_SPEC
-    else:
-        try:
-            spec = preset(machine)
-        except KeyError as exc:
-            raise click.UsageError(str(exc.args[0]))
-
-    fields = {"pi": spec.pi, "beta": spec.beta, "s": spec.s, "c": spec.c, "V": spec.V}
-    dist_pref, dist_exp = spec.distance.prefactor, spec.distance.exponent
-    for key in fields:
-        if cfg.get(key) is not None and overrides.get(key) is None:
-            overrides[key] = parse_quantity(cfg[key])
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key == "distance_exponent":
-            dist_exp = value
-        elif key == "distance_prefactor":
-            dist_pref = value
-        else:
-            fields[key] = value
+def _known(lookup, name: str):
+    """lookup(name), with an unknown preset name reported as a usage error."""
     try:
-        return ComputerSpec(**fields, distance=DistanceFn(dist_pref, dist_exp))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        return lookup(name)
+    except KeyError as exc:
+        raise click.UsageError(exc.args[0]) from None
 
 
-def _resolve_cost(alg: str, cfg: dict[str, str]) -> AlgorithmCost:
+def _cost_of(alg: str, config: dict[str, str]) -> AlgorithmCost:
+    """A built-in cost, or the custom cost whose coefficients the config's cost_* keys give."""
     alg = alg.lower()
     if alg in BUILTIN_COSTS:
         return BUILTIN_COSTS[alg]()
-    if alg == "custom":
-        kwargs = {}
-        for field in ("a", "p", "q", "r", "b", "w", "l", "g", "h", "k", "out_exp"):
-            key = f"cost_{field}"
-            if key in cfg:
-                kwargs[field] = float(cfg[key])
-        try:
-            return custom_cost(CostCoefficients(**kwargs))
-        except ValueError as exc:
-            raise click.UsageError(f"invalid custom cost: {exc}")
-    raise click.UsageError(f"unknown algorithm {alg!r}; one of mxm, cg, fft, custom")
+    if alg != "custom":
+        raise click.UsageError(f"unknown algorithm {alg!r}; one of mxm, cg, fft, custom")
+    return custom_cost(CostCoefficients(**{
+        field: parse_quantity(config[f"cost_{field}"])
+        for field in _COST_FIELDS if f"cost_{field}" in config}))
 
 
 def _fmt(x: float) -> str:
@@ -168,9 +134,14 @@ def _volumes(text: str | None, v0: float, V: float, points: int):
     if text is None:
         return AxisSpec("v", v0, V, points, "log").values()
     if ":" in text:
-        lo, hi, n = text.split(":")
-        return AxisSpec("v", parse_quantity(lo), parse_quantity(hi), int(n), "log").values()
+        return _parse_axis("v:" + text).values()
     return _parse_values(text)
+
+
+def _read_config(ctx: click.Context, param, path: str | None) -> None:
+    """--config is eager: its key=value pairs become the defaults of the other options."""
+    if path is not None:
+        ctx.default_map = read_key_values(Path(path).read_text(), path)
 
 
 _SPEC_OPTIONS = [
@@ -180,29 +151,57 @@ _SPEC_OPTIONS = [
     click.option("--beta", type=QUANTITY, default=None, help="Override bandwidth density."),
     click.option("--s", type=QUANTITY, default=None, help="Override memory density."),
     click.option("--c", type=QUANTITY, default=None, help="Override signal speed."),
-    click.option("--v-total", "v_total", type=QUANTITY, default=None, help="Override total volume."),
+    click.option("--v-total", "V", type=QUANTITY, default=None, help="Override total volume."),
     click.option("--distance-exponent", type=float, default=None),
     click.option("--distance-prefactor", type=float, default=None),
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+    click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+                 expose_value=False, callback=_read_config,
                  help="key=value config file; flags override it."),
     click.option("--seed", type=int, default=0, show_default=True,
                  help="Recorded in output headers for provenance."),
 ]
 
 
-def _spec_options(f):
+def _spec_options(command):
+    """Add the shared machine options; the command gets spec_of(machine) and cost_of(alg)."""
+    @functools.wraps(command)
+    def resolved(pi, beta, s, c, V, distance_exponent, distance_prefactor, **kwargs):
+        densities = {k: x for k, x in dict(pi=pi, beta=beta, s=s, c=c, V=V).items()
+                     if x is not None}
+
+        def spec_of(machine: str) -> ComputerSpec:
+            if machine == "ideal":
+                spec = IDEAL_SPEC
+            else:
+                spec = _known(preset, machine)
+            d = spec.distance
+            distance = DistanceFn(
+                d.prefactor if distance_prefactor is None else distance_prefactor,
+                d.exponent if distance_exponent is None else distance_exponent)
+            return replace(spec, distance=distance, **densities)
+
+        config = click.get_current_context().default_map or {}
+        return command(spec_of=spec_of, cost_of=lambda alg: _cost_of(alg, config), **kwargs)
+
     for option in reversed(_SPEC_OPTIONS):
-        f = option(f)
-    return f
+        resolved = option(resolved)
+    return resolved
 
 
-def _overrides(pi, beta, s, c, v_total, distance_exponent, distance_prefactor):
-    return {"pi": pi, "beta": beta, "s": s, "c": c, "V": v_total,
-            "distance_exponent": distance_exponent,
-            "distance_prefactor": distance_prefactor}
+class _ExitCodeGroup(click.Group):
+    """Maps the library's exceptions to exit codes: a ValueError is invalid input
+    (2); an ArithmeticError or OptimizationError is a failed computation (1)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+        except (ArithmeticError, OptimizationError) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup)
 @click.version_option(__version__)
 def main():
     """Best-case run times and scaling limits on a homogeneous computer."""
@@ -217,27 +216,15 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json",
               show_default=True)
 @click.option("--output", default=None, help="Write to file instead of stdout.")
-def solve(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefactor,
-          config_path, seed, alg, n_, v_, fmt, output):
+def solve(machine, seed, spec_of, cost_of, alg, n_, v_, fmt, output):
     """Minimize run time over the active volume (or evaluate at a fixed one)."""
-    cfg = _load_config(config_path)
-    machine = cfg.get("machine", machine) if machine == "ideal" else machine
-    alg = cfg.get("alg", alg) if alg == "cg" else alg
-    spec = _resolve_spec(machine, cfg,
-                         _overrides(pi, beta, s, c, v_total, distance_exponent, distance_prefactor))
-    cost = _resolve_cost(alg, cfg)
-
-    try:
-        if v_ is None:
-            sol = optimal_volume(spec, cost, n_)
-            b, regime = sol.breakdown, sol.regime
-        else:
-            b = time_breakdown(spec, cost, n_, v_)
-            regime = classify_regime(b)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except (EvaluationError, OptimizationError) as exc:
-        raise click.ClickException(str(exc))
+    spec, cost = spec_of(machine), cost_of(alg)
+    if v_ is None:
+        sol = optimal_volume(spec, cost, n_)
+        b, regime = sol.breakdown, sol.regime
+    else:
+        b = time_breakdown(spec, cost, n_, v_)
+        regime = classify_regime(b)
 
     fields = {
         "machine": machine, "algorithm": cost.name, "n": n_,
@@ -262,10 +249,8 @@ def solve(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefacto
 @click.option("--n", "n_", default=None, help="Fixed n, or comma list (becomes an axis).")
 @click.option("--v", "v_", type=QUANTITY, default=None, help="Fixed active volume (skips optimization).")
 @click.option("--output", default=None)
-def sweep(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefactor,
-          config_path, seed, alg, axes, n_, v_, output):
+def sweep(machine, seed, spec_of, cost_of, alg, axes, n_, v_, output):
     """Cartesian sweep; emits CSV with a '#' provenance header."""
-    cfg = _load_config(config_path)
     machines = [m.strip() for m in machine.split(",")]
     algs = [a.strip() for a in alg.split(",")]
 
@@ -289,17 +274,12 @@ def sweep(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefacto
         CSV_COLUMNS,
     ]
     for m in machines:
-        spec = _resolve_spec(m, cfg, _overrides(pi, beta, s, c, v_total,
-                                                distance_exponent, distance_prefactor))
+        spec = spec_of(m)
         for a in algs:
-            cost = _resolve_cost(a, cfg)
+            cost = cost_of(a)
             if len(machines) > 1 or len(algs) > 1:
                 lines.append(f"# machine={m} algorithm={cost.name}")
-            try:
-                records = run_sweep(grid, spec, cost)
-            except ValueError as exc:
-                raise click.UsageError(str(exc))
-            for r in records:
+            for r in run_sweep(grid, spec, cost):
                 row = [_fmt(x) for x in (r.pi, r.beta, r.s, r.c, r.V, r.n, r.v_star,
                                          r.t_work, r.t_io, r.t_lat, r.total, r.performance)]
                 row.append(r.regime if r.error is None else f"error:{r.error}")
@@ -319,13 +299,9 @@ def sweep(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefacto
 @click.option("--k", "k_", type=click.Choice([p.value for p in KPolicy]), default="output",
               show_default=True, help="Weak-scaling K policy.")
 @click.option("--output", default=None)
-def scale(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefactor,
-          config_path, seed, alg, mode, n0, v0, v_, k_, output):
+def scale(machine, seed, spec_of, cost_of, alg, mode, n0, v0, v_, k_, output):
     """Strong or weak scaling efficiency; CSV columns v,n,total,efficiency."""
-    cfg = _load_config(config_path)
-    spec = _resolve_spec(machine, cfg, _overrides(pi, beta, s, c, v_total,
-                                                  distance_exponent, distance_prefactor))
-    cost = _resolve_cost(alg, cfg)
+    spec, cost = spec_of(machine), cost_of(alg)
     policy = KPolicy(k_)
     if v0 is None:
         v0 = spec.V * DEFAULT_V0_FACTOR
@@ -336,21 +312,16 @@ def scale(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefacto
     if mode == "weak":
         lines.append(f"# k_policy={policy.value}")
     lines.append("v,n,total,efficiency")
-    try:
-        for v in volumes:
-            v = float(v)
-            if mode == "strong":
-                n = n0
-                eff = strong_efficiency(spec, cost, n0, v0, v)
-            else:
-                n = scaled_problem_size(cost, policy, n0, v0, v)
-                eff = weak_efficiency(spec, cost, policy, n0, v0, v)
-            total = time_breakdown(spec, cost, n, v).total
-            lines.append(",".join(_fmt(x) for x in (v, n, total, eff)))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except (EvaluationError, OptimizationError) as exc:
-        raise click.ClickException(str(exc))
+    for v in volumes:
+        v = float(v)
+        if mode == "strong":
+            n = n0
+            eff = strong_efficiency(spec, cost, n0, v0, v)
+        else:
+            n = scaled_problem_size(cost, policy, n0, v0, v)
+            eff = weak_efficiency(spec, cost, policy, n0, v0, v)
+        total = time_breakdown(spec, cost, n, v).total
+        lines.append(",".join(_fmt(x) for x in (v, n, total, eff)))
     _emit("\n".join(lines) + "\n", output)
 
 
@@ -362,13 +333,9 @@ def scale(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefacto
 @click.option("--v0", type=QUANTITY, default=None)
 @click.option("--v", "v_", default=None, help="Volumes: comma list or LO:HI:POINTS.")
 @click.option("--output", default=None)
-def laws(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefactor,
-         config_path, seed, alg, law, n0, v0, v_, output):
+def laws(machine, seed, spec_of, cost_of, alg, law, n0, v0, v_, output):
     """Generalized Amdahl/Gustafson speedups plus the propagation-limit line."""
-    cfg = _load_config(config_path)
-    spec = _resolve_spec(machine, cfg, _overrides(pi, beta, s, c, v_total,
-                                                  distance_exponent, distance_prefactor))
-    cost = _resolve_cost(alg, cfg)
+    spec, cost = spec_of(machine), cost_of(alg)
     if v0 is None:
         v0 = spec.V * DEFAULT_V0_FACTOR
     volumes = _volumes(v_, v0, spec.V, 10)
@@ -377,18 +344,13 @@ def laws(machine, pi, beta, s, c, v_total, distance_exponent, distance_prefactor
     lines = [f"# homlim laws law={law} machine={machine} alg={cost.name} "
              f"n0={_fmt(n0)} v0={_fmt(v0)} seed={seed}",
              f"v,{label}"]
-    try:
-        for v in volumes:
-            v = float(v)
-            value = (generalized_speedup(spec, cost, n0, v0, v) if law == "amdahl"
-                     else scaled_speedup(spec, cost, n0, v0, v))
-            lines.append(f"{_fmt(v)},{_fmt(value)}")
-        limit = speedup_limit(spec, cost, n0, v0)
-        lines.append(f"# speedup_limit={'unbounded' if math.isinf(limit) else _fmt(limit)}")
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except (EvaluationError, OptimizationError) as exc:
-        raise click.ClickException(str(exc))
+    for v in volumes:
+        v = float(v)
+        value = (generalized_speedup(spec, cost, n0, v0, v) if law == "amdahl"
+                 else scaled_speedup(spec, cost, n0, v0, v))
+        lines.append(f"{_fmt(v)},{_fmt(value)}")
+    limit = speedup_limit(spec, cost, n0, v0)
+    lines.append(f"# speedup_limit={'unbounded' if math.isinf(limit) else _fmt(limit)}")
     _emit("\n".join(lines) + "\n", output)
 
 
@@ -408,10 +370,7 @@ def machines_list():
 @click.argument("name")
 def machines_show(name):
     """Print totals, derived densities, and notes for one preset."""
-    try:
-        p = get_preset(name)
-    except KeyError as exc:
-        raise click.UsageError(str(exc.args[0]))
+    p = _known(get_preset, name)
     spec = p.to_spec()
     rows = [
         ("name", p.name),

@@ -84,8 +84,8 @@ _NUMERIC_KEYS = {"pi_total_flops", "b_total_bytes", "s_total_bytes", "volume",
 _REQUIRED_KEYS = {"name", "pi_total_flops", "b_total_bytes", "s_total_bytes", "volume", "c"}
 
 
-def parse_preset(text: str, source: str = "<string>") -> MachinePreset:
-    """Parse the key=value preset format; '#' starts a comment."""
+def read_key_values(text: str, source: str = "<string>") -> dict[str, str]:
+    """The key=value lines of a preset or config file; '#' starts a comment."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,7 +95,12 @@ def parse_preset(text: str, source: str = "<string>") -> MachinePreset:
             raise ValueError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
+    return values
 
+
+def parse_preset(text: str, source: str = "<string>") -> MachinePreset:
+    """Parse the key=value preset format; '#' starts a comment."""
+    values = read_key_values(text, source)
     missing = _REQUIRED_KEYS - values.keys()
     if missing:
         raise ValueError(f"{source}: missing preset keys: {sorted(missing)}")

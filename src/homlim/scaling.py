@@ -82,7 +82,7 @@ def weak_efficiency(spec: ComputerSpec, cost: AlgorithmCost, k: KPolicy,
     """P_weak = f(v, n) / f(v0, n0) with n solved from K(n)/v = K(n0)/v0."""
     if v < v0:
         raise ValueError(f"v={v!r} must be >= v0={v0!r}")
-    n = invert_k(k, cost, k_value(k, cost, n0) * v / v0)
+    n = scaled_problem_size(cost, k, n0, v0, v)
     f0 = time_breakdown(spec, cost, n0, v0).total
     fv = time_breakdown(spec, cost, n, v).total
     return fv / f0

@@ -86,10 +86,9 @@ class SweepGrid:
                 raise ValueError(f"unknown fixed parameter {key!r}")
 
     def size(self) -> int:
-        out = 1
-        for a in self.axes:
-            out *= len(a.values())
-        return out
+        """Point count, from the axis specs alone (no axis is built)."""
+        return math.prod(a.points if a.explicit is None else len(a.explicit)
+                         for a in self.axes)
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,16 @@ class SweepRecord:
     error: str | None = None
 
 
+def _error_record(spec: ComputerSpec | None, n: float, exc: Exception) -> SweepRecord:
+    """A failed point: its inputs (NaN when the spec itself is invalid), NaN results."""
+    nan = math.nan
+    pi, beta, s, c, V = ((nan,) * 5 if spec is None
+                         else (spec.pi, spec.beta, spec.s, spec.c, spec.V))
+    return SweepRecord(pi=pi, beta=beta, s=s, c=c, V=V, n=n, v_star=nan, t_work=nan,
+                       t_io=nan, t_lat=nan, total=nan, performance=nan, regime="error",
+                       error=str(exc))
+
+
 def _evaluate_point(spec: ComputerSpec, cost: AlgorithmCost, n: float,
                     v: float | None) -> SweepRecord:
     try:
@@ -127,10 +136,7 @@ def _evaluate_point(spec: ComputerSpec, cost: AlgorithmCost, n: float,
                            t_lat=b.t_lat, total=b.total, performance=b.performance,
                            regime=regime.value)
     except (ValueError, EvaluationError, OptimizationError) as exc:
-        nan = math.nan
-        return SweepRecord(pi=spec.pi, beta=spec.beta, s=spec.s, c=spec.c, V=spec.V,
-                           n=n, v_star=nan, t_work=nan, t_io=nan, t_lat=nan,
-                           total=nan, performance=nan, regime="error", error=str(exc))
+        return _error_record(spec, n, exc)
 
 
 def run_sweep(grid: SweepGrid, spec_template: ComputerSpec,
@@ -159,11 +165,7 @@ def run_sweep(grid: SweepGrid, spec_template: ComputerSpec,
         try:
             spec = replace(spec_template, **{k: float(x) for k, x in params.items()})
         except ValueError as exc:
-            nan = math.nan
-            records.append(SweepRecord(pi=nan, beta=nan, s=nan, c=nan, V=nan, n=n,
-                                       v_star=nan, t_work=nan, t_io=nan, t_lat=nan,
-                                       total=nan, performance=nan, regime="error",
-                                       error=str(exc)))
+            records.append(_error_record(None, n, exc))
             continue
         records.append(_evaluate_point(spec, cost, float(n),
                                        None if v is None else float(v)))

@@ -29,6 +29,17 @@ class TestQuantityParsing:
         with pytest.raises(click.UsageError):
             parse_quantity("5parsecs")
 
+    @pytest.mark.parametrize("text", [".", "1.2.3", "0..0", "..e3"])
+    def test_malformed_number(self, text):
+        import click
+        with pytest.raises(click.UsageError, match="cannot parse number"):
+            parse_quantity(text)
+
+    def test_bare_fraction_forms(self):
+        assert parse_quantity(".5") == 0.5
+        assert parse_quantity("2.") == 2.0
+        assert parse_quantity("1EB") == 1e18
+
 
 class TestSolve:
     def test_json_output(self, runner):
@@ -228,6 +239,95 @@ class TestLaws:
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         # Affine in v/v0: equal second difference structure.
         assert vals[2] - vals[1] == pytest.approx(2 * (vals[1] - vals[0]), rel=1e-9)
+
+
+class TestConfig:
+    """A --config file supplies option defaults; explicit flags beat it."""
+
+    @pytest.fixture
+    def fugaku_fft(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("machine = fugaku\nalg = fft\n")
+        return str(cfg)
+
+    def test_explicit_ideal_machine_beats_config(self, runner, fugaku_fft):
+        result = runner.invoke(main, ["solve", "--machine", "ideal", "--config", fugaku_fft,
+                                      "--n", "1e6"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["machine"] == "ideal"
+
+    def test_explicit_cg_beats_config(self, runner, fugaku_fft):
+        result = runner.invoke(main, ["solve", "--alg", "cg", "--config", fugaku_fft,
+                                      "--n", "1e6"])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert data["machine"] == "fugaku"
+        assert data["algorithm"] == "CG"
+
+    def test_sweep_reads_machine_and_alg(self, runner, fugaku_fft):
+        result = runner.invoke(main, ["sweep", "--config", fugaku_fft, "--n", "1e6"])
+        assert result.exit_code == 0
+        assert "machines=fugaku algs=fft" in result.output.splitlines()[0]
+
+    def test_scale_reads_machine_and_alg(self, runner, fugaku_fft):
+        result = runner.invoke(main, ["scale", "--config", fugaku_fft, "--mode", "strong",
+                                      "--n0", "1e9"])
+        assert result.exit_code == 0
+        assert "machine=fugaku alg=FFT" in result.output.splitlines()[0]
+
+    @pytest.mark.parametrize("key,flag,value", [
+        ("distance_exponent", "--distance-exponent", "0.4"),
+        ("distance_prefactor", "--distance-prefactor", "3"),
+        ("V", "--v-total", "100m2"),
+    ])
+    def test_config_key_equals_flag(self, runner, tmp_path, key, flag, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"machine = frontier\n{key} = {value}\n")
+        args = ["solve", "--alg", "mxm", "--n", "1e6"]
+        from_config = runner.invoke(main, args + ["--config", str(cfg)])
+        from_flag = runner.invoke(main, args + ["--machine", "frontier", flag, value])
+        baseline = runner.invoke(main, args + ["--machine", "frontier"])
+        assert from_config.exit_code == from_flag.exit_code == 0
+        assert from_config.output == from_flag.output
+        assert from_config.output != baseline.output
+
+
+def _assert_one_error_line(result, code):
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert len([l for l in result.output.splitlines() if l.startswith("Error:")]) == 1
+
+
+class TestNoTraceback:
+    """Inputs that once escaped as Python tracebacks now exit 2 with one Error: line."""
+
+    @pytest.mark.parametrize("args", [
+        ["scale", "--mode", "strong", "--n0", "1e6", "--v", "1:2"],
+        ["laws", "--law", "amdahl", "--n0", "1e6", "--v", "10:1:5"],
+        ["solve", "--n", "."],
+        ["sweep", "--n", "0..0"],
+    ], ids=["scale-v-two-fields", "laws-v-reversed", "solve-n-dot", "sweep-n-double-dot"])
+    def test_malformed_value_exit_2(self, runner, args):
+        _assert_one_error_line(runner.invoke(main, args), 2)
+
+    def test_bad_custom_coefficient_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "cost.cfg"
+        cfg.write_text("cost_a = abc\n")
+        result = runner.invoke(main, ["solve", "--alg", "custom", "--config", str(cfg),
+                                      "--n", "1e6"])
+        _assert_one_error_line(result, 2)
+
+    def test_config_directory_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["solve", "--config", str(tmp_path), "--n", "1e6"])
+        _assert_one_error_line(result, 2)
+
+    def test_config_line_without_equals_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("machine fugaku\n")
+        result = runner.invoke(main, ["solve", "--config", str(cfg), "--n", "1e6"])
+        _assert_one_error_line(result, 2)
+        assert "expected key=value" in result.output
 
 
 class TestMachines:

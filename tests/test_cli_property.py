@@ -1,0 +1,39 @@
+"""Property: whatever text a numeric option gets, the CLI exits 0, 1 or 2 and
+never lets a Python exception escape."""
+import functools
+from unittest import mock
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+import homlim.cli
+from homlim.cli import main
+from homlim.sweep import SweepGrid
+
+# Digits, number punctuation, the list and range separators, and the letters of
+# the unit suffixes.
+TEXT = st.text("0123456789.eE+-:,/PTGMKBflopsmc", min_size=1, max_size=8)
+
+COMMANDS = {
+    "solve-n": lambda t: ["solve", "--n", t],
+    "solve-v": lambda t: ["solve", "--n", "1e6", "--v", t],
+    "solve-pi": lambda t: ["solve", "--n", "1e6", "--pi", t],
+    "sweep-n": lambda t: ["sweep", "--n", t],
+    "sweep-axis": lambda t: ["sweep", "--axis", "n:" + t],
+    "scale-v": lambda t: ["scale", "--mode", "strong", "--n0", "1e6", "--v", t],
+    "laws-n0": lambda t: ["laws", "--law", "amdahl", "--n0", t],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(text=TEXT)
+def test_exit_code_contract(command, text):
+    # A small sweep cap keeps each example fast; a grid above it takes the same
+    # exit-2 path as one above the default cap.
+    with mock.patch.object(homlim.cli, "SweepGrid", functools.partial(SweepGrid, cap=64)):
+        result = CliRunner().invoke(main, COMMANDS[command](text))
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        f"{type(result.exception).__name__}: {result.exception}")

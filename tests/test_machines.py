@@ -5,7 +5,7 @@ import pytest
 from homlim.machines import (A100_CHIP, ChipSpec, DEFAULT_WORD_BYTES,
                              MachinePreset, PRESET_PATH_ENV, available_presets,
                              densities_from_chip, get_preset, parse_preset,
-                             preset, scale_spec)
+                             preset, read_key_values, scale_spec)
 from homlim.model import DistanceFn
 
 BUILTIN_NAMES = {"frontier", "fugaku", "dgx-gh200",
@@ -91,6 +91,13 @@ def test_parse_preset_errors():
     with pytest.raises(ValueError, match="numeric"):
         parse_preset("name=x\npi_total_flops=abc\nb_total_bytes=1\n"
                      "s_total_bytes=1\nvolume=1\nc=1")
+
+
+def test_read_key_values():
+    text = "# header\n a = 1 \n\nb=x # trailing\nc = d = e\n"
+    assert read_key_values(text) == {"a": "1", "b": "x", "c": "d = e"}
+    with pytest.raises(ValueError, match=r"run.cfg:2: expected key=value"):
+        read_key_values("a = 1\nb\n", source="run.cfg")
 
 
 def test_preset_path_env(tmp_path, monkeypatch):

@@ -70,6 +70,17 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="cap"):
             run_sweep(grid, SPEC, cg_cost())
 
+    def test_size_builds_no_axis(self, monkeypatch):
+        # A 4,000,000-point axis once took 61 MiB to be rejected by the cap.
+        def no_values(self):
+            raise AssertionError(f"axis {self.name} built its values")
+        monkeypatch.setattr(AxisSpec, "values", no_values)
+        grid = SweepGrid(axes=(AxisSpec("n", 1e3, 1e6, 4_000_000),
+                               AxisSpec("pi", explicit=(1.0, 2.0, 3.0))))
+        assert grid.size() == 12_000_000
+        with pytest.raises(ValueError, match="exceeds cap"):
+            run_sweep(grid, SPEC, cg_cost())
+
 
 class TestRunSweep:
     def test_empty_sweep_equals_direct_call(self):
