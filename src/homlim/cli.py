@@ -24,7 +24,7 @@ from .model import (ComputerSpec, CUBE_ROOT, DistanceFn, OptimizationError,
 from .scaling import (DEFAULT_V0_FACTOR, KPolicy, generalized_speedup,
                       scaled_problem_size, scaled_speedup, speedup_limit,
                       strong_efficiency, weak_efficiency)
-from .sweep import AxisSpec, DEFAULT_RANGES, SweepGrid, run_sweep
+from .sweep import AxisSpec, DEFAULT_POINT_CAP, DEFAULT_RANGES, SweepGrid, run_sweep
 
 CSV_COLUMNS = "pi,beta,s,c,V,n,v_star,t_work,t_io,t_lat,total,performance,regime"
 
@@ -134,14 +134,27 @@ def _volumes(text: str | None, v0: float, V: float, points: int):
     if text is None:
         return AxisSpec("v", v0, V, points, "log").values()
     if ":" in text:
-        return _parse_axis("v:" + text).values()
+        axis = _parse_axis("v:" + text)
+        if axis.points > DEFAULT_POINT_CAP:
+            raise click.UsageError(f"--v has {axis.points} points; the cap is {DEFAULT_POINT_CAP}")
+        return axis.values()
     return _parse_values(text)
 
 
 def _read_config(ctx: click.Context, param, path: str | None) -> None:
-    """--config is eager: its key=value pairs become the defaults of the other options."""
-    if path is not None:
-        ctx.default_map = read_key_values(Path(path).read_text(), path)
+    """--config is eager: its key=value pairs become the defaults of the other options.
+
+    A key must name a parameter of some command, or be a cost_<field> of --alg custom.
+    """
+    if path is None:
+        return
+    values = read_key_values(Path(path).read_text(), path)
+    known = {p.name for command in ctx.find_root().command.commands.values()
+             for p in command.params} | {f"cost_{field}" for field in _COST_FIELDS}
+    unknown = [key for key in values if key not in known]
+    if unknown:
+        raise click.BadParameter(f"{path}: unknown key {unknown[0]!r}", ctx=ctx, param=param)
+    ctx.default_map = values
 
 
 _SPEC_OPTIONS = [

@@ -5,7 +5,8 @@ takes the additive time
 
     f(v) = W(n)/(pi*v) + Q(n, s*v)/(beta*v) + D(L(v, n))/c
 
-and the best-case run time minimizes f over 0 < v <= V.
+and the best-case run time minimizes f over 0 < v <= V. The formula has one
+definition, _f_terms, which evaluates W(n) once per (spec, cost, n).
 """
 from __future__ import annotations
 
@@ -115,28 +116,36 @@ def _ratio(num: float, d1: float, d2: float) -> float:
         return math.inf
 
 
+def _f_terms(spec: ComputerSpec, cost: AlgorithmCost, n: float):
+    """W(n) and v -> (t_work, t_io, t_lat, total): the one definition of f, built per solve."""
+    if n < 1:
+        raise ValueError(f"problem size n={n!r} must be >= 1")
+    W, io, wavefront, distance = cost.work(n), cost.io, cost.wavefront, spec.distance
+    pi, beta, s, c = spec.pi, spec.beta, spec.s, spec.c
+
+    def terms(v: float) -> tuple[float, float, float, float]:
+        Q, t_lat = io(n, s * v), distance(wavefront(v, n)) / c
+        t_work, t_io = _ratio(W, pi, v), _ratio(Q, beta, v)
+        return t_work, t_io, t_lat, t_work + t_io + t_lat
+
+    return W, terms
+
+
 def time_breakdown(spec: ComputerSpec, cost: AlgorithmCost, n: float, v: float) -> TimeBreakdown:
     """Evaluate the run-time decomposition at a given active volume."""
     if not (0.0 < v <= spec.V):
         raise ValueError(f"active volume v={v!r} outside (0, V={spec.V!r}]")
-    if n < 1:
-        raise ValueError(f"problem size n={n!r} must be >= 1")
-
     try:
-        W = cost.work(n)
-        Q = cost.io(n, spec.s * v)
-        t_lat = spec.distance(cost.wavefront(v, n)) / spec.c
+        W, terms = _f_terms(spec, cost, n)
+        t_work, t_io, t_lat, total = terms(v)
     except OverflowError as exc:
         raise EvaluationError(f"cost overflowed a double (n={n!r}, v={v!r})") from exc
-    t_work = _ratio(W, spec.pi, v)
-    t_io = _ratio(Q, spec.beta, v)
-    total = t_work + t_io + t_lat
-    for name, value in (("t_work", t_work), ("t_io", t_io), ("t_lat", t_lat), ("total", total)):
-        if not math.isfinite(value):
-            raise EvaluationError(f"{name}={value!r} is not representable (n={n!r}, v={v!r})")
+    if not math.isfinite(total):  # finite exactly when every term is; name the first that is not
+        for name, value in (("t_work", t_work), ("t_io", t_io), ("t_lat", t_lat), ("total", total)):
+            if not math.isfinite(value):
+                raise EvaluationError(f"{name}={value!r} is not representable (n={n!r}, v={v!r})")
     performance = W / total if total > 0 else math.inf
-    return TimeBreakdown(t_work=t_work, t_io=t_io, t_lat=t_lat, total=total,
-                         v_used=v, performance=performance)
+    return TimeBreakdown(t_work, t_io, t_lat, total, v, performance)
 
 
 def classify_regime(b: TimeBreakdown) -> Regime:
@@ -162,7 +171,8 @@ def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeS
     """Minimize total time over the active volume, searching in log(v).
 
     Brent's method plus the two bracket ends runs for every cost; grid
-    refinement runs only when Brent does not converge.
+    refinement runs only when Brent does not converge. W(n) is evaluated once
+    per solve; a point whose total is not finite gets time_breakdown's error.
     """
     lo = math.log(spec.V) + math.log(V_FLOOR_FACTOR)
     hi = math.log(spec.V)
@@ -174,9 +184,19 @@ def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeS
         return spec.V if x >= hi else min(math.exp(x), spec.V)
 
     def objective(x: float) -> float:
-        return time_breakdown(spec, cost, n, volume(x)).total
+        v = volume(x)
+        try:
+            total = terms(v)[3]
+        except OverflowError:
+            total = math.inf
+        # Off the finite path, time_breakdown raises the exact error for this point.
+        return total if math.isfinite(total) else time_breakdown(spec, cost, n, v).total
 
     try:
+        try:
+            terms = _f_terms(spec, cost, n)[1]
+        except OverflowError:  # W(n) itself: time_breakdown reports it at Brent's first point
+            terms = lambda v: (math.inf,) * 4
         # Every CostCoefficients term is convex in log v: Brent plus the ends finds the minimum.
         result = minimize_bounded(objective, lo, hi)
         if not result.converged:

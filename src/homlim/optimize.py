@@ -60,6 +60,7 @@ def minimize_bounded(
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
 
+    isfinite = math.isfinite
     a, b = lo, hi
     x = a + GOLDEN * (b - a)
     fx = _checked(f, x)
@@ -99,7 +100,9 @@ def minimize_bounded(
             d = GOLDEN * e
 
         u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0 else -tol1)
-        fu = _checked(f, u)
+        fu = f(u)
+        if not isfinite(fu):
+            raise NonFiniteObjectiveError(u, fu)
 
         if fu <= fx:
             if u < x:

@@ -329,6 +329,31 @@ class TestNoTraceback:
         _assert_one_error_line(result, 2)
         assert "expected key=value" in result.output
 
+    def test_config_unknown_key_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alg = fft\nmahcine = fugaku\n")
+        result = runner.invoke(main, ["solve", "--config", str(cfg), "--n", "1e6"])
+        _assert_one_error_line(result, 2)
+        assert "unknown key 'mahcine'" in result.output
+
+    def test_config_keys_of_other_commands_accepted(self, runner, tmp_path):
+        # A key is checked against every command, so one file can serve them all.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("machine = fugaku\nalg = fft\npi = 1e14\nmode = strong\ncost_a = 2\n")
+        result = runner.invoke(main, ["solve", "--config", str(cfg), "--n", "1e6"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["machine"] == "fugaku"
+
+    @pytest.mark.parametrize("command", [
+        ["scale", "--mode", "strong", "--n0", "1e6"],
+        ["laws", "--law", "amdahl", "--n0", "1e6"],
+    ], ids=["scale", "laws"])
+    def test_volume_count_above_cap_exit_2(self, runner, command):
+        # Rejected before any volume array is built: 1e8 points would take 800 MB.
+        result = runner.invoke(main, command + ["--v", "1:2:100000000"])
+        _assert_one_error_line(result, 2)
+        assert "cap" in result.output
+
 
 class TestMachines:
     def test_list_has_five_builtins(self, runner):

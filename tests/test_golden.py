@@ -19,6 +19,10 @@ CASES = {
                            "--format", "table"],
     "sweep-readme": ["sweep", "--machine", "frontier,fugaku", "--alg", "mxm,cg,fft",
                      "--axis", "n:1e3:1e30:20"],
+    "sweep-errors": ["sweep", "--machine", "frontier", "--alg", "mxm",
+                     "--axis", "n:1e100:1e120:3"],
+    "sweep-custom": ["sweep", "--config", str(GOLDEN / "custom.cfg"),
+                     "--axis", "n:1e3:1e30:20"],
     "scale-strong": ["scale", "--machine", "frontier", "--alg", "cg", "--mode", "strong",
                      "--n0", "1e12"],
     "scale-weak": ["scale", "--machine", "fugaku", "--alg", "fft", "--mode", "weak",

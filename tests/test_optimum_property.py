@@ -2,7 +2,8 @@
 
 Every cost the solver sees is convex in log v, so Brent's method plus the two
 bracket ends must match or beat the best of a 4,001-point grid on
-[1e-30*V, V] and both ends themselves.
+[1e-30*V, V] and both ends themselves. The solver's objective and
+time_breakdown share one definition of f, so they agree to the last bit.
 """
 import math
 
@@ -55,3 +56,24 @@ def test_optimum_no_worse_than_dense_grid_or_bracket_ends(spec, cost, n):
         f_end = total_or_inf(spec, cost, n, end)
         if math.isfinite(f_end):
             assert sol.breakdown.total <= f_end
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=specs, cost=costs, n=log_uniform(0, 30))
+def test_objective_equals_time_breakdown_exactly(spec, cost, n):
+    try:
+        sol = optimal_volume(spec, cost, n)
+    except OptimizationError:
+        assume(False)
+    assert sol.opt.f_star == time_breakdown(spec, cost, n, sol.v_star).total
+    assert sol.breakdown.total == sol.opt.f_star
+
+
+def test_log_domain_ratio_through_optimal_volume():
+    # W/pi overflows a double, but W/(pi*v) is finite at every v >= 1e-30*V = 100.
+    spec = ComputerSpec(pi=1e-9, beta=1.0, s=1.0, c=1.0, V=1e32)
+    cost = custom_cost(CostCoefficients(b=1e300, w=0.0, g=1.0, h=1.0))
+    assert math.isinf(cost.work(1e6) / spec.pi)
+    sol = optimal_volume(spec, cost, 1e6)
+    assert math.isfinite(sol.opt.f_star)
+    assert sol.opt.f_star == time_breakdown(spec, cost, 1e6, sol.v_star).total
