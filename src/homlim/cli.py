@@ -7,11 +7,11 @@ supplies option defaults, keyed by option name; explicit flags override it.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -43,7 +43,7 @@ _QUANTITY_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+
                           r"\s*([A-Za-z].*)?")
 
 # The --alg custom coefficients, read from the config keys cost_<field>.
-_COST_FIELDS = ("a", "p", "q", "r", "b", "w", "l", "g", "h", "k", "out_exp")
+_COST_FIELDS = tuple(field.name for field in dataclasses.fields(CostCoefficients))
 
 
 def parse_quantity(text: str) -> float:
@@ -191,7 +191,7 @@ def _spec_options(command):
             distance = DistanceFn(
                 d.prefactor if distance_prefactor is None else distance_prefactor,
                 d.exponent if distance_exponent is None else distance_exponent)
-            return replace(spec, distance=distance, **densities)
+            return dataclasses.replace(spec, distance=distance, **densities)
 
         config = click.get_current_context().default_map or {}
         return command(spec_of=spec_of, cost_of=lambda alg: _cost_of(alg, config), **kwargs)

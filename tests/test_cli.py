@@ -1,9 +1,14 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from homlim.cli import main, parse_quantity
+from homlim.costs import BUILTIN_COEFFS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -107,6 +112,16 @@ class TestSolve:
         assert result.output.startswith("Error: ")
         assert len(result.output.strip().splitlines()) == 1
 
+    def test_underflowed_fast_memory_exit_1(self, runner):
+        # S = s*v underflows to 0, so Q = a*n^p/S^q has no finite value: not t_io = 0.
+        result = runner.invoke(main, ["solve", "--config", str(GOLDEN / "custom.cfg"),
+                                      "--n", "1e6", "--s", "1e-320"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ")
+        assert "cost overflowed a double" in result.output
+        assert len(result.output.strip().splitlines()) == 1
+
 
 class TestSweep:
     def test_csv_contract(self, runner):
@@ -153,6 +168,16 @@ class TestSweep:
         assert len(rows) == 3
         assert ",error:" not in rows[0]
         assert all(",error:" in row for row in rows[1:])
+
+    def test_underflowed_fast_memory_gives_error_rows(self, runner):
+        # MXM divides by sqrt(S); where S = s*v underflows to 0 the point is an error row.
+        result = runner.invoke(main, ["sweep", "--machine", "frontier", "--alg", "mxm",
+                                      "--n", "1e9", "--axis", "s:1e-320:1e-300:3"])
+        assert result.exit_code == 0
+        rows = [l for l in result.output.splitlines() if l and not l.startswith("#")][1:]
+        assert len(rows) == 3
+        assert all(",error:" in row and "cost overflowed a double" in row for row in rows[:2])
+        assert ",error:" not in rows[2]
 
     def test_volume_axis_ends_on_v(self, runner):
         result = runner.invoke(main, ["sweep", "--machine", "fugaku", "--n", "1e9",
@@ -274,6 +299,19 @@ class TestConfig:
                                       "--n0", "1e9"])
         assert result.exit_code == 0
         assert "machine=fugaku alg=FFT" in result.output.splitlines()[0]
+
+    def test_fft_row_from_cost_keys(self, runner, tmp_path):
+        # Every CostCoefficients field is a cost_ key; FFT's row, cost_m included, gives FFT.
+        coeffs = BUILTIN_COEFFS["fft"]
+        cfg = tmp_path / "fft.cfg"
+        cfg.write_text("".join(f"cost_{field.name} = {getattr(coeffs, field.name)!r}\n"
+                               for field in dataclasses.fields(coeffs)))
+        args = ["solve", "--machine", "frontier", "--n", "1e9"]
+        custom = runner.invoke(main, args + ["--alg", "custom", "--config", str(cfg)])
+        builtin = runner.invoke(main, args + ["--alg", "fft"])
+        assert custom.exit_code == 0 and builtin.exit_code == 0
+        assert "cost_m = 1.0" in cfg.read_text()
+        assert custom.output == builtin.output.replace('"FFT"', '"CUSTOM"')
 
     @pytest.mark.parametrize("key,flag,value", [
         ("distance_exponent", "--distance-exponent", "0.4"),

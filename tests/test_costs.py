@@ -1,9 +1,12 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from homlim.costs import (CostCoefficients, cg_cost, custom_cost, fft_cost,
-                          mxm_cost)
+from homlim.costs import (BUILTIN_COSTS, FFT_MIN_FAST_MEMORY, CostCoefficients,
+                          cg_cost, custom_cost, fft_cost, mxm_cost)
 
 
 class TestMxm:
@@ -71,9 +74,24 @@ class TestCustomCost:
                                          b=2.0, w=3.0, g=1.0, h=1.0, k=1.0))
         ref = mxm_cost()
         n, S, v = 50.0, 9.0, 18.0
-        assert c.io(n, S) == pytest.approx(ref.io(n, S))
-        assert c.work(n) == pytest.approx(ref.work(n))
-        assert c.wavefront(v, n) == pytest.approx(ref.wavefront(v, n))
+        assert c.io(n, S) == ref.io(n, S)
+        assert c.work(n) == ref.work(n)
+        assert c.wavefront(v, n) == ref.wavefront(v, n)
+
+    @pytest.mark.parametrize("builtin", ["mxm", "cg"])
+    def test_benchmark_coefficient_sets_are_the_builtins(self, builtin):
+        # benchmarks/inputs.py writes MXM and CG as coefficient sets for sweep-custom.
+        path = Path(__file__).parents[1] / "benchmarks" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("bench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        coeffs = {"mxm": inputs.MXM_COEFFS, "cg": inputs.CG_COEFFS}[builtin]
+        c, ref = custom_cost(CostCoefficients(**coeffs)), BUILTIN_COSTS[builtin]()
+        for n, S, v in ((1.0, 1.0, 1.0), (50.0, 9.0, 18.0), (3.7e21, 1.5e-7, 2.2e4)):
+            assert c.io(n, S) == ref.io(n, S)
+            assert c.work(n) == ref.work(n)
+            assert c.wavefront(v, n) == ref.wavefront(v, n)
+            assert c.output_size(n) == ref.output_size(n)
 
     def test_log_work_factor(self):
         c = custom_cost(CostCoefficients(b=8 / 3, w=1.0, l=1.0))
@@ -81,9 +99,24 @@ class TestCustomCost:
         assert c.work(1.0) == 0.0  # log2(1) = 0
 
     def test_extreme_exponents_no_overflow(self):
+        # A value too large for a double raises OverflowError; it does not saturate at inf.
         c = custom_cost(CostCoefficients(a=1.0, p=3.0, b=1.0, w=2.0))
-        assert c.io(1e300, 1.0) == math.inf  # saturates, never raises
+        with pytest.raises(OverflowError):
+            c.io(1e300, 1.0)
         assert math.isfinite(c.work(1e100))
+
+    def test_log_domain_when_plain_arithmetic_overflows(self):
+        # n**2 overflows, but n**2 / S**2 is 1.
+        c = custom_cost(CostCoefficients(a=1.0, p=2.0, q=2.0))
+        assert c.io(1e200, 1e200) == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_fast_memory(self):
+        # Q = a*n^p/S^q has no finite value at S = 0 (an underflowed s*v) when q > 0.
+        with pytest.raises(OverflowError):
+            custom_cost(CostCoefficients(a=1.0, p=1.0, q=0.25)).io(10.0, 0.0)
+        with pytest.raises(OverflowError):
+            mxm_cost().io(10.0, 0.0)
+        assert custom_cost(CostCoefficients(a=0.0, q=0.5)).io(10.0, 0.0) == 0.0
 
     def test_io_clamped(self):
         c = custom_cost(CostCoefficients(a=1.0, p=1.0, r=-1.0))
@@ -98,7 +131,60 @@ class TestCustomCost:
             CostCoefficients(r=1.0)
         with pytest.raises(ValueError):
             CostCoefficients(p=math.inf)
+        with pytest.raises(ValueError):
+            CostCoefficients(m=-1.0)
 
     def test_output_size_exponent(self):
         c = custom_cost(CostCoefficients(out_exp=2.0))
         assert c.output_size(6.0) == pytest.approx(36.0)
+
+
+def test_log_s_factor():
+    # m is the exponent of log_S(n) = log2(n) / log2(max(S, 4)) in Q.
+    c = custom_cost(CostCoefficients(a=1.0, p=1.0, m=2.0))
+    assert c.io(256.0, 16.0) == 256.0 * 8.0**2 / 4.0**2
+    assert c.io(256.0, 1.0) == c.io(256.0, FFT_MIN_FAST_MEMORY)
+
+
+# The paper's formulas for the built-in kernels, written out term by term:
+# (io(n, S), work(n), wavefront(v, n), output_size(n)).
+PAPER_FORMULAS = {
+    "mxm": (lambda n, S: max(2.0 * n**3 / math.sqrt(S) - 3.0 * S, 0.0),
+            lambda n: 2.0 * n**3,
+            lambda v, n: v / n,
+            lambda n: n**2),
+    "cg": (lambda n, S: max(7.0 * n - 4.0 * S, 0.0),
+           lambda n: 17.0 * n,
+           lambda v, n: 2.0 * v,
+           lambda n: n),
+    "fft": (lambda n, S: max(2.0 * n * math.log2(n) / math.log2(max(S, FFT_MIN_FAST_MEMORY))
+                             - 2.0 * S, 0.0),
+            lambda n: (8.0 / 3.0) * n * math.log2(n),
+            lambda v, n: v,
+            lambda n: n),
+}
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=600, deadline=None)
+@given(kernel=st.sampled_from(sorted(PAPER_FORMULAS)),
+       n=st.one_of(log_uniform(0, 100), st.floats(1.0, 1e4)),
+       S=st.one_of(log_uniform(-8, 30), st.floats(0.5, 2 * FFT_MIN_FAST_MEMORY)),
+       v=log_uniform(-30, 30))
+@example(kernel="mxm", n=1e9, S=10063950820.587334, v=1.0)  # S**0.5 != sqrt(S) here
+def test_builtin_rows_equal_paper_formulas(kernel, n, S, v):
+    """Every finite value of a built-in row is the paper's formula to the last bit."""
+    cost = BUILTIN_COSTS[kernel]()
+    io, work, wavefront, output_size = PAPER_FORMULAS[kernel]
+    for got, ref, args in ((cost.io, io, (n, S)), (cost.work, work, (n,)),
+                           (cost.wavefront, wavefront, (v, n)),
+                           (cost.output_size, output_size, (n,))):
+        try:
+            expected = ref(*args)
+        except OverflowError:
+            continue
+        if math.isfinite(expected):
+            assert got(*args) == expected

@@ -29,7 +29,7 @@ specs = st.builds(ComputerSpec, pi=log_uniform(0, 20), beta=log_uniform(-5, 20),
 coefficients = st.builds(
     CostCoefficients, a=st.floats(0, 10), p=st.floats(-3, 3), q=st.floats(0, 2),
     r=st.floats(-5, 0), b=st.floats(0.1, 20), w=st.floats(-2, 3), l=st.floats(0, 2),
-    g=st.floats(0, 5), h=st.floats(-2, 2), k=st.floats(-2, 2))
+    g=st.floats(0, 5), h=st.floats(-2, 2), k=st.floats(-2, 2), m=st.floats(0, 2))
 
 costs = st.one_of(st.sampled_from(sorted(BUILTIN_COSTS)).map(lambda name: BUILTIN_COSTS[name]()),
                   coefficients.map(custom_cost))

@@ -21,7 +21,8 @@ class TestKPolicy:
         assert k_value(KPolicy.WORK, cost, 10.0) == 2000.0
 
     @pytest.mark.parametrize("policy", list(KPolicy))
-    @pytest.mark.parametrize("costf", [mxm_cost, cg_cost, fft_cost])
+    @pytest.mark.parametrize("costf", [mxm_cost, cg_cost, fft_cost],
+                             ids=["mxm_cost", "cg_cost", "fft_cost"])
     def test_invert_round_trip(self, policy, costf):
         cost = costf()
         for n in (10.0, 1e6, 1e12):
