@@ -19,8 +19,8 @@ import click
 from . import __version__
 from .costs import AlgorithmCost, BUILTIN_COSTS, CostCoefficients, custom_cost
 from .machines import available_presets, get_preset, preset, read_key_values
-from .model import (ComputerSpec, CUBE_ROOT, DistanceFn, OptimizationError,
-                    classify_regime, optimal_volume, time_breakdown)
+from .model import (ComputerSpec, CUBE_ROOT, DistanceFn, classify_regime, optimal_volume,
+                    time_breakdown)
 from .scaling import (DEFAULT_V0_FACTOR, KPolicy, generalized_speedup,
                       scaled_problem_size, scaled_speedup, speedup_limit,
                       strong_efficiency, weak_efficiency)
@@ -170,8 +170,6 @@ _SPEC_OPTIONS = [
     click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
                  expose_value=False, callback=_read_config,
                  help="key=value config file; flags override it."),
-    click.option("--seed", type=int, default=0, show_default=True,
-                 help="Recorded in output headers for provenance."),
 ]
 
 
@@ -203,14 +201,14 @@ def _spec_options(command):
 
 class _ExitCodeGroup(click.Group):
     """Maps the library's exceptions to exit codes: a ValueError is invalid input
-    (2); an ArithmeticError or OptimizationError is a failed computation (1)."""
+    (2); an ArithmeticError, OptimizationError included, is a failed computation (1)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
-        except (ArithmeticError, OptimizationError) as exc:
+        except ArithmeticError as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -229,7 +227,7 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json",
               show_default=True)
 @click.option("--output", default=None, help="Write to file instead of stdout.")
-def solve(machine, seed, spec_of, cost_of, alg, n_, v_, fmt, output):
+def solve(machine, spec_of, cost_of, alg, n_, v_, fmt, output):
     """Minimize run time over the active volume (or evaluate at a fixed one)."""
     spec, cost = spec_of(machine), cost_of(alg)
     if v_ is None:
@@ -262,7 +260,7 @@ def solve(machine, seed, spec_of, cost_of, alg, n_, v_, fmt, output):
 @click.option("--n", "n_", default=None, help="Fixed n, or comma list (becomes an axis).")
 @click.option("--v", "v_", type=QUANTITY, default=None, help="Fixed active volume (skips optimization).")
 @click.option("--output", default=None)
-def sweep(machine, seed, spec_of, cost_of, alg, axes, n_, v_, output):
+def sweep(machine, spec_of, cost_of, alg, axes, n_, v_, output):
     """Cartesian sweep; emits CSV with a '#' provenance header."""
     machines = [m.strip() for m in machine.split(",")]
     algs = [a.strip() for a in alg.split(",")]
@@ -282,7 +280,7 @@ def sweep(machine, seed, spec_of, cost_of, alg, axes, n_, v_, output):
 
     grid = SweepGrid(axes=tuple(axis_specs), fixed=fixed)
     lines = [
-        f"# homlim sweep seed={seed} machines={','.join(machines)} algs={','.join(algs)}",
+        f"# homlim sweep machines={','.join(machines)} algs={','.join(algs)}",
         f"# axes={';'.join(a or 'none' for a in axes) or 'none'} fixed={fixed!r}",
         CSV_COLUMNS,
     ]
@@ -312,7 +310,7 @@ def sweep(machine, seed, spec_of, cost_of, alg, axes, n_, v_, output):
 @click.option("--k", "k_", type=click.Choice([p.value for p in KPolicy]), default="output",
               show_default=True, help="Weak-scaling K policy.")
 @click.option("--output", default=None)
-def scale(machine, seed, spec_of, cost_of, alg, mode, n0, v0, v_, k_, output):
+def scale(machine, spec_of, cost_of, alg, mode, n0, v0, v_, k_, output):
     """Strong or weak scaling efficiency; CSV columns v,n,total,efficiency."""
     spec, cost = spec_of(machine), cost_of(alg)
     policy = KPolicy(k_)
@@ -321,7 +319,7 @@ def scale(machine, seed, spec_of, cost_of, alg, mode, n0, v0, v_, k_, output):
     volumes = _volumes(v_, v0, spec.V, 20)
 
     lines = [f"# homlim scale mode={mode} machine={machine} alg={cost.name} "
-             f"n0={_fmt(n0)} v0={_fmt(v0)} seed={seed}"]
+             f"n0={_fmt(n0)} v0={_fmt(v0)}"]
     if mode == "weak":
         lines.append(f"# k_policy={policy.value}")
     lines.append("v,n,total,efficiency")
@@ -346,7 +344,7 @@ def scale(machine, seed, spec_of, cost_of, alg, mode, n0, v0, v_, k_, output):
 @click.option("--v0", type=QUANTITY, default=None)
 @click.option("--v", "v_", default=None, help="Volumes: comma list or LO:HI:POINTS.")
 @click.option("--output", default=None)
-def laws(machine, seed, spec_of, cost_of, alg, law, n0, v0, v_, output):
+def laws(machine, spec_of, cost_of, alg, law, n0, v0, v_, output):
     """Generalized Amdahl/Gustafson speedups plus the propagation-limit line."""
     spec, cost = spec_of(machine), cost_of(alg)
     if v0 is None:
@@ -355,7 +353,7 @@ def laws(machine, seed, spec_of, cost_of, alg, law, n0, v0, v_, output):
 
     label = "speedup" if law == "amdahl" else "scaled_speedup"
     lines = [f"# homlim laws law={law} machine={machine} alg={cost.name} "
-             f"n0={_fmt(n0)} v0={_fmt(v0)} seed={seed}",
+             f"n0={_fmt(n0)} v0={_fmt(v0)}",
              f"v,{label}"]
     for v in volumes:
         v = float(v)

@@ -37,8 +37,8 @@ class AlgorithmCost:
 class CostCoefficients:
     """One row of the cost family in the module docstring.
 
-    Q is clamped at zero. a, b, g must be non-negative; q >= 0, m >= 0 and
-    r <= 0 so that Q is non-increasing in S.
+    Every field must be finite. Q is clamped at zero. a, b, g must be non-negative;
+    q >= 0, m >= 0 and r <= 0 so that Q is non-increasing in S.
     """
 
     a: float = 0.0
@@ -55,6 +55,9 @@ class CostCoefficients:
     m: float = 0.0
 
     def __post_init__(self):
+        for field, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"CostCoefficients.{field} must be finite, got {value!r}")
         for field in ("a", "b", "g"):
             if getattr(self, field) < 0:
                 raise ValueError(f"coefficient {field} must be non-negative")
@@ -63,9 +66,6 @@ class CostCoefficients:
                 raise ValueError(f"exponent {field} must be non-negative (Q non-increasing in S)")
         if self.r > 0:
             raise ValueError("coefficient r must be non-positive (Q non-increasing in S)")
-        for field in ("p", "q", "w", "l", "h", "k", "out_exp", "m"):
-            if not math.isfinite(getattr(self, field)):
-                raise ValueError(f"exponent {field} must be finite")
 
 
 # Non-Strassen matrix multiply; one CG iteration without the matrix (L = 2v is the dot

@@ -26,12 +26,8 @@ class EvaluationError(ArithmeticError):
     """A time component is not representable as a finite double."""
 
 
-class OptimizationError(RuntimeError):
-    """Volume minimization failed; carries the best point found."""
-
-    def __init__(self, message: str, best: "VolumeSolution | None" = None):
-        super().__init__(message)
-        self.best = best
+class OptimizationError(ArithmeticError):
+    """Volume minimization failed; the EvaluationError that stopped it is the cause."""
 
 
 @dataclass(frozen=True)
@@ -117,16 +113,36 @@ def _ratio(num: float, d1: float, d2: float) -> float:
 
 
 def _f_terms(spec: ComputerSpec, cost: AlgorithmCost, n: float):
-    """W(n) and v -> (t_work, t_io, t_lat, total): the one definition of f, built per solve."""
-    if n < 1:
-        raise ValueError(f"problem size n={n!r} must be >= 1")
-    W, io, wavefront, distance = cost.work(n), cost.io, cost.wavefront, spec.distance
+    """W(n) and v -> (t_work, t_io, t_lat, total): the one definition of f, built per solve.
+
+    Only the per-volume function raises EvaluationError: when a cost overflows a double
+    (W(n) included, at the first v asked for) or the total is not finite.
+    """
+    if not 1.0 <= n < math.inf:
+        raise ValueError(f"problem size n={n!r} must be finite and >= 1")
+    io, wavefront, distance = cost.io, cost.wavefront, spec.distance
     pi, beta, s, c = spec.pi, spec.beta, spec.s, spec.c
+    try:
+        W, overflow = cost.work(n), None
+    except OverflowError as exc:
+        W, overflow = math.inf, exc
 
     def terms(v: float) -> tuple[float, float, float, float]:
-        Q, t_lat = io(n, s * v), distance(wavefront(v, n)) / c
+        try:
+            if overflow:
+                raise overflow
+            Q, t_lat = io(n, s * v), distance(wavefront(v, n)) / c
+        except OverflowError as exc:
+            raise EvaluationError(f"cost overflowed a double (n={n!r}, v={v!r})") from exc
         t_work, t_io = _ratio(W, pi, v), _ratio(Q, beta, v)
-        return t_work, t_io, t_lat, t_work + t_io + t_lat
+        total = t_work + t_io + t_lat
+        if not math.isfinite(total):  # finite iff every term is; name the first that is not
+            for name, value in (("t_work", t_work), ("t_io", t_io), ("t_lat", t_lat),
+                                ("total", total)):
+                if not math.isfinite(value):
+                    raise EvaluationError(
+                        f"{name}={value!r} is not representable (n={n!r}, v={v!r})")
+        return t_work, t_io, t_lat, total
 
     return W, terms
 
@@ -135,15 +151,8 @@ def time_breakdown(spec: ComputerSpec, cost: AlgorithmCost, n: float, v: float) 
     """Evaluate the run-time decomposition at a given active volume."""
     if not (0.0 < v <= spec.V):
         raise ValueError(f"active volume v={v!r} outside (0, V={spec.V!r}]")
-    try:
-        W, terms = _f_terms(spec, cost, n)
-        t_work, t_io, t_lat, total = terms(v)
-    except OverflowError as exc:
-        raise EvaluationError(f"cost overflowed a double (n={n!r}, v={v!r})") from exc
-    if not math.isfinite(total):  # finite exactly when every term is; name the first that is not
-        for name, value in (("t_work", t_work), ("t_io", t_io), ("t_lat", t_lat), ("total", total)):
-            if not math.isfinite(value):
-                raise EvaluationError(f"{name}={value!r} is not representable (n={n!r}, v={v!r})")
+    W, terms = _f_terms(spec, cost, n)
+    t_work, t_io, t_lat, total = terms(v)
     performance = W / total if total > 0 else math.inf
     return TimeBreakdown(t_work, t_io, t_lat, total, v, performance)
 
@@ -172,8 +181,10 @@ def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeS
 
     Brent's method plus the two bracket ends runs for every cost; grid
     refinement runs only when Brent does not converge. W(n) is evaluated once
-    per solve; a point whose total is not finite gets time_breakdown's error.
+    per solve. A bad n is a ValueError; an EvaluationError becomes the cause of an
+    OptimizationError.
     """
+    terms = _f_terms(spec, cost, n)[1]
     lo = math.log(spec.V) + math.log(V_FLOOR_FACTOR)
     hi = math.log(spec.V)
 
@@ -184,24 +195,14 @@ def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeS
         return spec.V if x >= hi else min(math.exp(x), spec.V)
 
     def objective(x: float) -> float:
-        v = volume(x)
-        try:
-            total = terms(v)[3]
-        except OverflowError:
-            total = math.inf
-        # Off the finite path, time_breakdown raises the exact error for this point.
-        return total if math.isfinite(total) else time_breakdown(spec, cost, n, v).total
+        return terms(volume(x))[3]
 
     try:
-        try:
-            terms = _f_terms(spec, cost, n)[1]
-        except OverflowError:  # W(n) itself: time_breakdown reports it at Brent's first point
-            terms = lambda v: (math.inf,) * 4
         # Every CostCoefficients term is convex in log v: Brent plus the ends finds the minimum.
         result = minimize_bounded(objective, lo, hi)
         if not result.converged:
             result = grid_refine(objective, lo, hi)
-    except (ValueError, EvaluationError) as exc:
+    except EvaluationError as exc:
         raise OptimizationError(f"volume minimization failed: {exc}") from exc
 
     v_star = volume(result.x_star)

@@ -9,8 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .costs import AlgorithmCost
-from .model import (ComputerSpec, EvaluationError, OptimizationError,
-                    classify_regime, optimal_volume, time_breakdown)
+from .model import ComputerSpec, classify_regime, optimal_volume, time_breakdown
 
 AXIS_PARAMETERS = ("pi", "beta", "s", "c", "V", "n", "v")
 DEFAULT_POINT_CAP = 1_000_000
@@ -135,7 +134,7 @@ def _evaluate_point(spec: ComputerSpec, cost: AlgorithmCost, n: float,
                            n=n, v_star=b.v_used, t_work=b.t_work, t_io=b.t_io,
                            t_lat=b.t_lat, total=b.total, performance=b.performance,
                            regime=regime.value)
-    except (ValueError, EvaluationError, OptimizationError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return _error_record(spec, n, exc)
 
 

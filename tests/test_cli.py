@@ -122,6 +122,26 @@ class TestSolve:
         assert "cost overflowed a double" in result.output
         assert len(result.output.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("config", [
+        "cost_a = 1e400\n",
+        "cost_a = 1\ncost_p = 1\ncost_q = 1\ncost_r = -1e400\n",
+    ], ids=["cost_a-inf", "cost_r-minus-inf"])
+    def test_infinite_cost_coefficient_exit_2(self, runner, tmp_path, config):
+        cfg = tmp_path / "cost.cfg"
+        cfg.write_text(config)
+        result = runner.invoke(main, ["solve", "--alg", "custom", "--config", str(cfg),
+                                      "--n", "1e6"])
+        _assert_one_error_line(result, 2)
+        assert "must be finite" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "0.5"], ["--n", "1e400"], ["--n", "0.5", "--v", "1"],
+    ], ids=["n-below-1", "n-inf", "n-below-1-fixed-v"])
+    def test_bad_problem_size_exit_2(self, runner, args):
+        result = runner.invoke(main, ["solve", *args])
+        _assert_one_error_line(result, 2)
+        assert "must be finite and >= 1" in result.output
+
 
 class TestSweep:
     def test_csv_contract(self, runner):
@@ -139,11 +159,11 @@ class TestSweep:
         assert len(mantissa.replace("-", "").replace(".", "")) == 9
         assert row[-1] in ("compute-bound", "memory-bound", "latency-bound")
 
-    def test_header_comments_record_seed(self, runner):
-        result = runner.invoke(main, ["sweep", "--n", "1e6",
-                                      "--axis", "pi:1:1e6:3", "--seed", "7"])
+    def test_bad_problem_size_is_unprefixed_error_row(self, runner):
+        result = runner.invoke(main, ["sweep", "--n", "0.5"])
         assert result.exit_code == 0
-        assert "seed=7" in result.output.splitlines()[0]
+        assert result.output.splitlines()[-1].endswith(
+            ",error:problem size n=0.5 must be finite and >= 1")
 
     def test_multi_machine_blocks(self, runner):
         result = runner.invoke(main, ["sweep", "--machine", "frontier,fugaku",

@@ -133,6 +133,10 @@ class TestCustomCost:
             CostCoefficients(p=math.inf)
         with pytest.raises(ValueError):
             CostCoefficients(m=-1.0)
+        for field, value in (("a", math.inf), ("b", math.nan), ("g", math.inf),
+                             ("r", -math.inf)):
+            with pytest.raises(ValueError, match=rf"CostCoefficients\.{field} must be finite"):
+                CostCoefficients(**{field: value})
 
     def test_output_size_exponent(self):
         c = custom_cost(CostCoefficients(out_exp=2.0))

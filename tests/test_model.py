@@ -1,11 +1,12 @@
 import math
+import re
 
 import pytest
 
-from homlim.costs import AlgorithmCost, cg_cost, mxm_cost
+from homlim.costs import AlgorithmCost, CostCoefficients, cg_cost, custom_cost, mxm_cost
 from homlim.model import (CUBE_ROOT, ComputerSpec, DistanceFn, EvaluationError,
-                          Regime, SQUARE_ROOT, classify_regime, optimal_volume,
-                          time_breakdown)
+                          OptimizationError, Regime, SQUARE_ROOT, classify_regime,
+                          optimal_volume, time_breakdown)
 from homlim.machines import preset
 
 # Constant-cost kernel: W = 1, Q = 1 regardless of S, L = v.
@@ -137,6 +138,38 @@ def test_cost_overflow_raises_evaluation_error():
     # 2*n**3 overflows a double for n above about 5.6e102.
     with pytest.raises(EvaluationError):
         time_breakdown(preset("frontier"), mxm_cost(), 1e120, 1.0)
+
+
+@pytest.mark.parametrize("spec, cost, n", [
+    # t_work = 1e300/(1e-300*v) is not a double at any v <= V.
+    (ComputerSpec(pi=1e-300, beta=1, s=1, c=1, V=1.0),
+     custom_cost(CostCoefficients(b=1e300, w=0.0)), 2.0),
+    # W(n) = 2*n**3 itself overflows, before any volume is tried.
+    (preset("frontier"), mxm_cost(), 1e120),
+], ids=["t_work-inf-everywhere", "work-overflow"])
+def test_failed_solve_carries_time_breakdown_error(spec, cost, n):
+    with pytest.raises(OptimizationError) as failed:
+        optimal_volume(spec, cost, n)
+    cause = failed.value.__cause__
+    assert isinstance(cause, EvaluationError)
+    v = float(re.search(r"v=([^)]+)\)$", str(cause)).group(1))
+    with pytest.raises(EvaluationError) as direct:
+        time_breakdown(spec, cost, n, v)
+    assert str(cause) == str(direct.value)
+    assert str(failed.value) == f"volume minimization failed: {direct.value}"
+
+
+def test_optimization_error_is_arithmetic_error():
+    assert issubclass(OptimizationError, ArithmeticError)
+
+
+@pytest.mark.parametrize("n", [0.5, math.inf, math.nan])
+def test_bad_problem_size_is_value_error_on_every_path(n):
+    spec = ComputerSpec(pi=1, beta=1, s=1, c=1, V=10)
+    with pytest.raises(ValueError, match="must be finite and >= 1"):
+        optimal_volume(spec, cg_cost(), n)
+    with pytest.raises(ValueError, match="must be finite and >= 1"):
+        time_breakdown(spec, cg_cost(), n, 1.0)
 
 
 def test_optimal_volume_never_exceeds_v():
