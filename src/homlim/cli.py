@@ -21,9 +21,10 @@ from .costs import AlgorithmCost, BUILTIN_COSTS, CostCoefficients, custom_cost
 from .machines import available_presets, get_preset, preset, read_key_values
 from .model import (ComputerSpec, CUBE_ROOT, DistanceFn, classify_regime, optimal_volume,
                     time_breakdown)
-from .scaling import (DEFAULT_V0_FACTOR, KPolicy, generalized_speedup,
-                      scaled_problem_size, scaled_speedup, speedup_limit,
-                      strong_efficiency, weak_efficiency)
+from .scaling import (DEFAULT_V0_FACTOR, KPolicy, generalized_speedup, scaled_speedup,
+                      scaling_curve, speedup_limit)
+# benchmarks/tracer.py patches these here by name.
+from .scaling import scaled_problem_size, strong_efficiency, weak_efficiency  # noqa: F401
 from .sweep import AxisSpec, DEFAULT_POINT_CAP, DEFAULT_RANGES, SweepGrid, run_sweep
 
 CSV_COLUMNS = "pi,beta,s,c,V,n,v_star,t_work,t_io,t_lat,total,performance,regime"
@@ -129,16 +130,18 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return tuple(parse_quantity(part) for part in text.split(","))
 
 
-def _volumes(text: str | None, v0: float, V: float, points: int):
-    """--v of scale and laws: a comma list, LO:HI:POINTS, or `points` log volumes v0..V."""
+def _volumes(text: str | None, v0: float | None, V: float, points: int):
+    """(v0, volumes) from --v0 and --v; absent, they are V*1e-6 and `points` log volumes v0..V."""
+    if v0 is None:
+        v0 = V * DEFAULT_V0_FACTOR
     if text is None:
-        return AxisSpec("v", v0, V, points, "log").values()
+        return v0, AxisSpec("v", v0, V, points, "log").values().tolist()
     if ":" in text:
         axis = _parse_axis("v:" + text)
         if axis.points > DEFAULT_POINT_CAP:
             raise click.UsageError(f"--v has {axis.points} points; the cap is {DEFAULT_POINT_CAP}")
-        return axis.values()
-    return _parse_values(text)
+        return v0, axis.values().tolist()
+    return v0, _parse_values(text)
 
 
 def _read_config(ctx: click.Context, param, path: str | None) -> None:
@@ -313,26 +316,16 @@ def sweep(machine, spec_of, cost_of, alg, axes, n_, v_, output):
 def scale(machine, spec_of, cost_of, alg, mode, n0, v0, v_, k_, output):
     """Strong or weak scaling efficiency; CSV columns v,n,total,efficiency."""
     spec, cost = spec_of(machine), cost_of(alg)
-    policy = KPolicy(k_)
-    if v0 is None:
-        v0 = spec.V * DEFAULT_V0_FACTOR
-    volumes = _volumes(v_, v0, spec.V, 20)
+    k = KPolicy(k_) if mode == "weak" else None
+    v0, volumes = _volumes(v_, v0, spec.V, 20)
 
     lines = [f"# homlim scale mode={mode} machine={machine} alg={cost.name} "
              f"n0={_fmt(n0)} v0={_fmt(v0)}"]
-    if mode == "weak":
-        lines.append(f"# k_policy={policy.value}")
+    if k is not None:
+        lines.append(f"# k_policy={k.value}")
     lines.append("v,n,total,efficiency")
-    for v in volumes:
-        v = float(v)
-        if mode == "strong":
-            n = n0
-            eff = strong_efficiency(spec, cost, n0, v0, v)
-        else:
-            n = scaled_problem_size(cost, policy, n0, v0, v)
-            eff = weak_efficiency(spec, cost, policy, n0, v0, v)
-        total = time_breakdown(spec, cost, n, v).total
-        lines.append(",".join(_fmt(x) for x in (v, n, total, eff)))
+    lines += [",".join(_fmt(x) for x in point)
+              for point in scaling_curve(spec, cost, n0, v0, volumes, k)]
     _emit("\n".join(lines) + "\n", output)
 
 
@@ -347,16 +340,13 @@ def scale(machine, spec_of, cost_of, alg, mode, n0, v0, v_, k_, output):
 def laws(machine, spec_of, cost_of, alg, law, n0, v0, v_, output):
     """Generalized Amdahl/Gustafson speedups plus the propagation-limit line."""
     spec, cost = spec_of(machine), cost_of(alg)
-    if v0 is None:
-        v0 = spec.V * DEFAULT_V0_FACTOR
-    volumes = _volumes(v_, v0, spec.V, 10)
+    v0, volumes = _volumes(v_, v0, spec.V, 10)
 
     label = "speedup" if law == "amdahl" else "scaled_speedup"
     lines = [f"# homlim laws law={law} machine={machine} alg={cost.name} "
              f"n0={_fmt(n0)} v0={_fmt(v0)}",
              f"v,{label}"]
     for v in volumes:
-        v = float(v)
         value = (generalized_speedup(spec, cost, n0, v0, v) if law == "amdahl"
                  else scaled_speedup(spec, cost, n0, v0, v))
         lines.append(f"{_fmt(v)},{_fmt(value)}")

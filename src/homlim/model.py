@@ -179,10 +179,10 @@ class VolumeSolution:
 def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeSolution:
     """Minimize total time over the active volume, searching in log(v).
 
-    Brent's method plus the two bracket ends runs for every cost; grid
-    refinement runs only when Brent does not converge. W(n) is evaluated once
-    per solve. A bad n is a ValueError; an EvaluationError becomes the cause of an
-    OptimizationError.
+    Brent's method plus the two bracket ends runs for every cost; grid refinement runs
+    only when Brent does not converge. W(n) is evaluated twice per solve: once for the
+    search, and once by the closing time_breakdown, which builds f again. A bad n is a
+    ValueError; an EvaluationError becomes the cause of an OptimizationError.
     """
     terms = _f_terms(spec, cost, n)[1]
     lo = math.log(spec.V) + math.log(V_FLOOR_FACTOR)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator, Sequence
 from enum import Enum
 
 from .costs import AlgorithmCost
@@ -16,6 +17,8 @@ from .model import optimal_volume  # noqa: F401  (benchmarks/tracer.py patches i
 DEFAULT_V0_FACTOR = 1e-6
 # Largest log(n) with n representable as a double.
 LOG_N_MAX = math.log(sys.float_info.max)
+INVERT_REL_TOL = 1e-9  # invert_k stops when K(n) is within this fraction of the target,
+INVERT_MAX_ITER = 400  # or after this many bisection steps.
 
 
 class KPolicy(Enum):
@@ -38,13 +41,12 @@ def k_value(policy: KPolicy, cost: AlgorithmCost, n: float) -> float:
         return math.inf
 
 
-def invert_k(policy: KPolicy, cost: AlgorithmCost, target: float,
-             rel_tol: float = 1e-9, max_iter: int = 400) -> float:
+def invert_k(policy: KPolicy, cost: AlgorithmCost, target: float) -> float:
     """Solve K(n) = target for n by monotone bisection in log(n)."""
     if target <= 0:
         raise ValueError("target must be positive")
     k1 = k_value(policy, cost, 1.0)
-    if k1 > target * (1.0 + rel_tol):
+    if k1 > target * (1.0 + INVERT_REL_TOL):
         raise ValueError(f"target {target!r} below K(1)={k1!r}")
 
     lo = 0.0  # log n
@@ -55,10 +57,10 @@ def invert_k(policy: KPolicy, cost: AlgorithmCost, target: float,
         lo = hi
         hi = min(2.0 * hi, LOG_N_MAX)
 
-    for _ in range(max_iter):
+    for _ in range(INVERT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         k = k_value(policy, cost, math.exp(mid))
-        if abs(k - target) <= rel_tol * target:
+        if abs(k - target) <= INVERT_REL_TOL * target:
             return math.exp(mid)
         if k < target:
             lo = mid
@@ -67,25 +69,33 @@ def invert_k(policy: KPolicy, cost: AlgorithmCost, target: float,
     return math.exp(0.5 * (lo + hi))
 
 
+def scaling_curve(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
+                  volumes: Sequence[float], k: KPolicy | None = None) -> Iterator[tuple]:
+    """(v, n, f(v, n), efficiency) per volume: strong scaling at n = n0 when k is None, else weak.
+
+    Checks every volume against v0, then n0 by evaluating f(v0, n0) once, then inverts K.
+    """
+    for v in volumes:
+        if v < v0:
+            raise ValueError(f"v={v!r} must be >= v0={v0!r}")
+    f0 = time_breakdown(spec, cost, n0, v0).total
+    for v in volumes:
+        n = n0 if k is None else scaled_problem_size(cost, k, n0, v0, v)
+        fv = time_breakdown(spec, cost, n, v).total
+        efficiency = (f0 * v0) / (fv * v) if k is None else fv / f0
+        yield v, n, fv, efficiency
+
+
 def strong_efficiency(spec: ComputerSpec, cost: AlgorithmCost, n: float,
                       v0: float, v: float) -> float:
     """P_eff = f(v0)*v0 / (f(v)*v) at fixed problem size."""
-    if v < v0:
-        raise ValueError(f"v={v!r} must be >= v0={v0!r}")
-    f0 = time_breakdown(spec, cost, n, v0).total
-    fv = time_breakdown(spec, cost, n, v).total
-    return (f0 * v0) / (fv * v)
+    return next(scaling_curve(spec, cost, n, v0, (v,)))[3]
 
 
 def weak_efficiency(spec: ComputerSpec, cost: AlgorithmCost, k: KPolicy,
                     n0: float, v0: float, v: float) -> float:
     """P_weak = f(v, n) / f(v0, n0) with n solved from K(n)/v = K(n0)/v0."""
-    if v < v0:
-        raise ValueError(f"v={v!r} must be >= v0={v0!r}")
-    n = scaled_problem_size(cost, k, n0, v0, v)
-    f0 = time_breakdown(spec, cost, n0, v0).total
-    fv = time_breakdown(spec, cost, n, v).total
-    return fv / f0
+    return next(scaling_curve(spec, cost, n0, v0, (v,), k))[3]
 
 
 def scaled_problem_size(cost: AlgorithmCost, k: KPolicy, n0: float,

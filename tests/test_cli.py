@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import homlim.model
+import homlim.scaling
 from homlim.cli import main, parse_quantity
 from homlim.costs import BUILTIN_COEFFS
 
@@ -263,6 +265,44 @@ class TestScale:
         result = runner.invoke(main, ["scale", "--mode", "strong", "--n0", "1e6",
                                       "--v0", "10", "--v", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "weak", "--v", "20,1"],
+        ["--mode", "strong", "--v", "1"],
+    ], ids=["weak", "strong"])
+    def test_volumes_checked_before_baseline(self, runner, args):
+        # f(v0, n0) overflows for MXM at n0 = 1e120 (exit 1), but the bad volume comes first.
+        result = runner.invoke(main, ["scale", "--alg", "mxm", "--n0", "1e120", "--v0", "10",
+                                      *args])
+        _assert_one_error_line(result, 2)
+        assert "v=1.0 must be >= v0=10.0" in result.output
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_infinite_n0_exit_2(self, runner, mode):
+        # n0 is checked before K is inverted, so weak scaling rejects it as strong scaling does.
+        result = runner.invoke(main, ["scale", "--mode", mode, "--n0", "1e400"])
+        _assert_one_error_line(result, 2)
+        assert "problem size n=inf must be finite and >= 1" in result.output
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_one_f_per_point_plus_baseline(self, runner, monkeypatch, mode):
+        counts = {"f": 0, "invert_k": 0}
+
+        def counted(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(homlim.model, "_f_terms", counted("f", homlim.model._f_terms))
+        monkeypatch.setattr(homlim.scaling, "invert_k",
+                            counted("invert_k", homlim.scaling.invert_k))
+        result = runner.invoke(main, ["scale", "--machine", "frontier", "--mode", mode,
+                                      "--n0", "1e9"])
+        assert result.exit_code == 0, result.output
+        points = 20  # the default volume count
+        assert len(result.output.splitlines()) == points + (3 if mode == "weak" else 2)
+        assert counts == {"f": points + 1, "invert_k": points if mode == "weak" else 0}
 
 
 class TestLaws:

@@ -27,6 +27,12 @@ CASES = {
                      "--n0", "1e12"],
     "scale-weak": ["scale", "--machine", "fugaku", "--alg", "fft", "--mode", "weak",
                    "--n0", "1e9", "--k", "output"],
+    "scale-weak-work": ["scale", "--machine", "frontier", "--alg", "mxm", "--mode", "weak",
+                        "--n0", "1e6", "--k", "work"],
+    "scale-weak-n": ["scale", "--machine", "dgx-gh200", "--alg", "cg", "--mode", "weak",
+                     "--n0", "1e9", "--k", "n"],
+    "scale-strong-custom": ["scale", "--config", str(GOLDEN / "custom.cfg"), "--mode", "strong",
+                            "--n0", "1e6"],
     "laws-amdahl": ["laws", "--law", "amdahl", "--machine", "fugaku", "--alg", "cg",
                     "--n0", "1e9"],
     "laws-gustafson": ["laws", "--law", "gustafson", "--machine", "frontier", "--alg", "fft",

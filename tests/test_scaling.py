@@ -72,6 +72,11 @@ class TestWeakScaling:
         assert weak_efficiency(SPEC, cg_cost(), KPolicy.OUTPUT_SIZE,
                                1e9, 1.0, 1.0) == pytest.approx(1.0, rel=1e-8)
 
+    def test_infinite_n0_is_value_error(self):
+        # n0 is checked before K is inverted: bad input, not a failed inversion.
+        with pytest.raises(ValueError, match="must be finite and >= 1"):
+            weak_efficiency(SPEC, cg_cost(), KPolicy.OUTPUT_SIZE, math.inf, 1.0, 2.0)
+
     def test_scaled_problem_size_grows(self):
         cost = fft_cost()
         n = scaled_problem_size(cost, KPolicy.OUTPUT_SIZE, 1e6, 1.0, 8.0)
