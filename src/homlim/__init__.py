@@ -22,8 +22,8 @@ from .model import (CUBE_ROOT, ComputerSpec, DistanceFn, EvaluationError,
 from .optimize import OptResult, grid_refine, minimize_bounded
 from .scaling import (DEFAULT_V0_FACTOR, KPolicy, generalized_speedup,
                       invert_k, k_value, parallel_fraction, scaling_curve,
-                      scaled_problem_size, scaled_speedup, speedup_limit,
-                      strong_efficiency, weak_efficiency)
+                      scaled_problem_size, scaled_speedup, speedup_curve,
+                      speedup_limit, strong_efficiency, weak_efficiency)
 from .sweep import (AxisSpec, SweepGrid, SweepRecord, peak_performance_over_n,
                     run_sweep, saturation_point)
 
@@ -38,7 +38,7 @@ __all__ = [
     "OptimizationError", "Regime", "SQUARE_ROOT", "TimeBreakdown",
     "VolumeSolution", "classify_regime", "optimal_volume", "time_breakdown",
     "OptResult", "grid_refine", "minimize_bounded",
-    "DEFAULT_V0_FACTOR", "KPolicy", "generalized_speedup", "scaling_curve",
+    "DEFAULT_V0_FACTOR", "KPolicy", "generalized_speedup", "scaling_curve", "speedup_curve",
     "invert_k", "k_value", "parallel_fraction", "scaled_problem_size",
     "scaled_speedup", "speedup_limit", "strong_efficiency", "weak_efficiency",
     "AxisSpec", "SweepGrid", "SweepRecord", "peak_performance_over_n",

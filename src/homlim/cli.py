@@ -21,10 +21,10 @@ from .costs import AlgorithmCost, BUILTIN_COSTS, CostCoefficients, custom_cost
 from .machines import available_presets, get_preset, preset, read_key_values
 from .model import (ComputerSpec, CUBE_ROOT, DistanceFn, classify_regime, optimal_volume,
                     time_breakdown)
-from .scaling import (DEFAULT_V0_FACTOR, KPolicy, generalized_speedup, scaled_speedup,
-                      scaling_curve, speedup_limit)
+from .scaling import DEFAULT_V0_FACTOR, KPolicy, scaling_curve, speedup_curve
 # benchmarks/tracer.py patches these here by name.
-from .scaling import scaled_problem_size, strong_efficiency, weak_efficiency  # noqa: F401
+from .scaling import (generalized_speedup, scaled_problem_size, scaled_speedup,  # noqa: F401
+                      speedup_limit, strong_efficiency, weak_efficiency)
 from .sweep import AxisSpec, DEFAULT_POINT_CAP, DEFAULT_RANGES, SweepGrid, run_sweep
 
 CSV_COLUMNS = "pi,beta,s,c,V,n,v_star,t_work,t_io,t_lat,total,performance,regime"
@@ -233,17 +233,13 @@ def main():
 def solve(machine, spec_of, cost_of, alg, n_, v_, fmt, output):
     """Minimize run time over the active volume (or evaluate at a fixed one)."""
     spec, cost = spec_of(machine), cost_of(alg)
-    if v_ is None:
-        sol = optimal_volume(spec, cost, n_)
-        b, regime = sol.breakdown, sol.regime
-    else:
-        b = time_breakdown(spec, cost, n_, v_)
-        regime = classify_regime(b)
+    b = (optimal_volume(spec, cost, n_).breakdown if v_ is None
+         else time_breakdown(spec, cost, n_, v_))
 
     fields = {
         "machine": machine, "algorithm": cost.name, "n": n_,
         "v_star": b.v_used, "t_work": b.t_work, "t_io": b.t_io, "t_lat": b.t_lat,
-        "total": b.total, "performance": b.performance, "regime": regime.value,
+        "total": b.total, "performance": b.performance, "regime": classify_regime(b).value,
     }
     if fmt == "json":
         text = json.dumps(fields, indent=2) + "\n"
@@ -342,15 +338,12 @@ def laws(machine, spec_of, cost_of, alg, law, n0, v0, v_, output):
     spec, cost = spec_of(machine), cost_of(alg)
     v0, volumes = _volumes(v_, v0, spec.V, 10)
 
+    limit, points = speedup_curve(spec, cost, n0, v0, volumes, law)
     label = "speedup" if law == "amdahl" else "scaled_speedup"
     lines = [f"# homlim laws law={law} machine={machine} alg={cost.name} "
              f"n0={_fmt(n0)} v0={_fmt(v0)}",
              f"v,{label}"]
-    for v in volumes:
-        value = (generalized_speedup(spec, cost, n0, v0, v) if law == "amdahl"
-                 else scaled_speedup(spec, cost, n0, v0, v))
-        lines.append(f"{_fmt(v)},{_fmt(value)}")
-    limit = speedup_limit(spec, cost, n0, v0)
+    lines += [f"{_fmt(v)},{_fmt(value)}" for v, value in points]
     lines.append(f"# speedup_limit={'unbounded' if math.isinf(limit) else _fmt(limit)}")
     _emit("\n".join(lines) + "\n", output)
 

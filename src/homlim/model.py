@@ -147,14 +147,17 @@ def _f_terms(spec: ComputerSpec, cost: AlgorithmCost, n: float):
     return W, terms
 
 
+def _breakdown(W: float, terms, v: float) -> TimeBreakdown:
+    """The TimeBreakdown at v of the f that _f_terms built."""
+    t_work, t_io, t_lat, total = terms(v)
+    return TimeBreakdown(t_work, t_io, t_lat, total, v, W / total if total > 0 else math.inf)
+
+
 def time_breakdown(spec: ComputerSpec, cost: AlgorithmCost, n: float, v: float) -> TimeBreakdown:
     """Evaluate the run-time decomposition at a given active volume."""
     if not (0.0 < v <= spec.V):
         raise ValueError(f"active volume v={v!r} outside (0, V={spec.V!r}]")
-    W, terms = _f_terms(spec, cost, n)
-    t_work, t_io, t_lat, total = terms(v)
-    performance = W / total if total > 0 else math.inf
-    return TimeBreakdown(t_work, t_io, t_lat, total, v, performance)
+    return _breakdown(*_f_terms(spec, cost, n), v)
 
 
 def classify_regime(b: TimeBreakdown) -> Regime:
@@ -172,7 +175,6 @@ class VolumeSolution:
 
     v_star: float
     breakdown: TimeBreakdown
-    regime: Regime
     opt: OptResult
 
 
@@ -180,11 +182,11 @@ def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeS
     """Minimize total time over the active volume, searching in log(v).
 
     Brent's method plus the two bracket ends runs for every cost; grid refinement runs
-    only when Brent does not converge. W(n) is evaluated twice per solve: once for the
-    search, and once by the closing time_breakdown, which builds f again. A bad n is a
-    ValueError; an EvaluationError becomes the cause of an OptimizationError.
+    only when Brent does not converge. f is built once per solve, so W(n) is evaluated
+    once: the breakdown at v* comes from the same W and terms the search used. A bad n
+    is a ValueError; an EvaluationError becomes the cause of an OptimizationError.
     """
-    terms = _f_terms(spec, cost, n)[1]
+    W, terms = _f_terms(spec, cost, n)
     lo = math.log(spec.V) + math.log(V_FLOOR_FACTOR)
     hi = math.log(spec.V)
 
@@ -206,6 +208,4 @@ def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeS
         raise OptimizationError(f"volume minimization failed: {exc}") from exc
 
     v_star = volume(result.x_star)
-    breakdown = time_breakdown(spec, cost, n, v_star)
-    return VolumeSolution(v_star=v_star, breakdown=breakdown,
-                          regime=classify_regime(breakdown), opt=result)
+    return VolumeSolution(v_star=v_star, breakdown=_breakdown(W, terms, v_star), opt=result)

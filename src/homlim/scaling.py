@@ -1,6 +1,6 @@
 """Strong/weak parallel efficiency and the generalized Amdahl/Gustafson laws.
 
-Efficiencies evaluate f at the given volumes as-is.
+Efficiencies evaluate f at the given volumes as-is; the laws need f only at (v0, n0).
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from collections.abc import Iterator, Sequence
 from enum import Enum
 
 from .costs import AlgorithmCost
-from .model import ComputerSpec, EvaluationError, TimeBreakdown, time_breakdown
+from .model import ComputerSpec, EvaluationError, time_breakdown
 from .model import optimal_volume  # noqa: F401  (benchmarks/tracer.py patches it here)
 
 # Scaling baseline when no explicit v0 is given.
@@ -110,35 +110,46 @@ def parallel_fraction(spec: ComputerSpec, cost: AlgorithmCost, n: float, v: floa
     return (b.t_work + b.t_io) / b.total
 
 
-def _latency_fraction(b: TimeBreakdown) -> float:
-    return b.t_lat / b.total
+def speedup_curve(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
+                  volumes: Sequence[float], law: str) -> tuple[float, list[tuple[float, float]]]:
+    """The limit T(v0)/T_L(v0) (inf when L == 0) and (v, speedup) per volume under one law.
+
+    law is "amdahl" (generalized_speedup) or "gustafson" (scaled_speedup). Checks every
+    volume against [v0, V], then evaluates f(v0, n0) once; a speedup that is not finite
+    is an EvaluationError.
+    """
+    if law not in ("amdahl", "gustafson"):
+        raise ValueError(f"law={law!r} must be 'amdahl' or 'gustafson'")
+    for v in volumes:
+        if v < v0:
+            raise ValueError(f"v={v!r} must be >= v0={v0!r}")
+        if not v <= spec.V:
+            raise ValueError(f"active volume v={v!r} outside (0, V={spec.V!r}]")
+    b = time_breakdown(spec, cost, n0, v0)
+    limit = math.inf if b.t_lat == 0.0 else b.total / b.t_lat
+    t = b.t_lat / b.total  # the sequential fraction at (v0, n0)
+    points = []
+    for v in volumes:
+        speedup = (1.0 / (v0 / v + (1.0 - v0 / v) * t) if law == "amdahl"
+                   else v / v0 + (1.0 - v / v0) * t)
+        if not math.isfinite(speedup):
+            raise EvaluationError(f"{law} speedup={speedup!r} is not representable (v={v!r})")
+        points.append((v, speedup))
+    return limit, points
 
 
 def generalized_speedup(spec: ComputerSpec, cost: AlgorithmCost, n: float,
                         v0: float, v: float) -> float:
     """Amdahl generalized: 1 / (v0/v + (1 - v0/v) * T_L(v0)/T(v0))."""
-    if v < v0:
-        raise ValueError(f"v={v!r} must be >= v0={v0!r}")
-    t = _latency_fraction(time_breakdown(spec, cost, n, v0))
-    return 1.0 / (v0 / v + (1.0 - v0 / v) * t)
+    return speedup_curve(spec, cost, n, v0, (v,), "amdahl")[1][0][1]
 
 
 def speedup_limit(spec: ComputerSpec, cost: AlgorithmCost, n: float, v0: float) -> float:
     """T(v0)/T_L(v0), the ceiling of the generalized speedup; inf when L == 0."""
-    b = time_breakdown(spec, cost, n, v0)
-    if b.t_lat == 0.0:
-        return math.inf
-    return b.total / b.t_lat
+    return speedup_curve(spec, cost, n, v0, (), "amdahl")[0]
 
 
 def scaled_speedup(spec: ComputerSpec, cost: AlgorithmCost, n0: float,
-                   v0: float, v: float, k: KPolicy = KPolicy.OUTPUT_SIZE) -> float:
-    """Gustafson generalized: v/v0 + (1 - v/v0) * T_L(v0)/T(v0).
-
-    The K policy fixes how the problem grows; the closed form depends only on
-    the sequential fraction at (n0, v0).
-    """
-    if v < v0:
-        raise ValueError(f"v={v!r} must be >= v0={v0!r}")
-    t = _latency_fraction(time_breakdown(spec, cost, n0, v0))
-    return v / v0 + (1.0 - v / v0) * t
+                   v0: float, v: float) -> float:
+    """Gustafson generalized: v/v0 + (1 - v/v0) * T_L(v0)/T(v0)."""
+    return speedup_curve(spec, cost, n0, v0, (v,), "gustafson")[1][0][1]

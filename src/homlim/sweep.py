@@ -123,17 +123,12 @@ def _error_record(spec: ComputerSpec | None, n: float, exc: Exception) -> SweepR
 def _evaluate_point(spec: ComputerSpec, cost: AlgorithmCost, n: float,
                     v: float | None) -> SweepRecord:
     try:
-        if v is None:
-            sol = optimal_volume(spec, cost, n)
-            b = sol.breakdown
-            regime = sol.regime
-        else:
-            b = time_breakdown(spec, cost, n, v)
-            regime = classify_regime(b)
+        b = (optimal_volume(spec, cost, n).breakdown if v is None
+             else time_breakdown(spec, cost, n, v))
         return SweepRecord(pi=spec.pi, beta=spec.beta, s=spec.s, c=spec.c, V=spec.V,
                            n=n, v_star=b.v_used, t_work=b.t_work, t_io=b.t_io,
                            t_lat=b.t_lat, total=b.total, performance=b.performance,
-                           regime=regime.value)
+                           regime=classify_regime(b).value)
     except (ValueError, ArithmeticError) as exc:
         return _error_record(spec, n, exc)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -284,26 +285,6 @@ class TestScale:
         _assert_one_error_line(result, 2)
         assert "problem size n=inf must be finite and >= 1" in result.output
 
-    @pytest.mark.parametrize("mode", ["strong", "weak"])
-    def test_one_f_per_point_plus_baseline(self, runner, monkeypatch, mode):
-        counts = {"f": 0, "invert_k": 0}
-
-        def counted(key, fn):
-            def call(*args):
-                counts[key] += 1
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr(homlim.model, "_f_terms", counted("f", homlim.model._f_terms))
-        monkeypatch.setattr(homlim.scaling, "invert_k",
-                            counted("invert_k", homlim.scaling.invert_k))
-        result = runner.invoke(main, ["scale", "--machine", "frontier", "--mode", mode,
-                                      "--n0", "1e9"])
-        assert result.exit_code == 0, result.output
-        points = 20  # the default volume count
-        assert len(result.output.splitlines()) == points + (3 if mode == "weak" else 2)
-        assert counts == {"f": points + 1, "invert_k": points if mode == "weak" else 0}
-
 
 class TestLaws:
     def test_amdahl_with_limit_line(self, runner):
@@ -324,6 +305,75 @@ class TestLaws:
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         # Affine in v/v0: equal second difference structure.
         assert vals[2] - vals[1] == pytest.approx(2 * (vals[1] - vals[0]), rel=1e-9)
+
+    @pytest.mark.parametrize("args, message", [
+        (["--law", "gustafson", "--v0", "1e-310"], "gustafson speedup=nan"),
+        (["--law", "amdahl", "--v0", "1e-310", "--v", "370"], "amdahl speedup=inf"),
+    ], ids=["gustafson-nan", "amdahl-inf"])
+    def test_non_finite_speedup_exit_1(self, runner, args, message):
+        # At a subnormal v0 the latency share is 0 and v/v0 overflows: nan and inf.
+        result = runner.invoke(main, ["laws", "--machine", "frontier", "--n0", "1e3", *args])
+        _assert_one_error_line(result, 1)
+        assert f"{message} is not representable (v=370.0)" in result.output
+
+    @pytest.mark.parametrize("args, gustafson_exit", [
+        (["--machine", "frontier", "--v0", "1e-300"], 0),
+        (["--c", "1e-200", "--v0", "1e-303"], 1),  # V/v0 = 1e309 overflows a double
+    ], ids=["frontier", "slow-signal"])
+    def test_amdahl_checks_only_its_own_law(self, runner, args, gustafson_exit):
+        # A tiny v0 gives a finite Amdahl curve even where the Gustafson one overflows.
+        result = runner.invoke(main, ["laws", "--law", "amdahl", "--n0", "1e3", *args])
+        assert result.exit_code == 0, result.output
+        rows = [l.split(",") for l in result.output.splitlines()[2:-1]]
+        assert len(rows) == 10
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+        result = runner.invoke(main, ["laws", "--law", "gustafson", "--n0", "1e3", *args])
+        assert result.exit_code == gustafson_exit, result.output
+
+    @pytest.mark.parametrize("volumes", ["1e400", "1e300", "1,1e300"])
+    def test_volume_above_V_exit_2(self, runner, volumes):
+        result = runner.invoke(main, ["laws", "--machine", "frontier", "--law", "gustafson",
+                                      "--n0", "1e9", "--v", volumes])
+        _assert_one_error_line(result, 2)
+        assert "outside (0, V=370.0]" in result.output
+
+    @pytest.mark.parametrize("volumes, message", [
+        ("20,1", "v=1.0 must be >= v0=10.0"),
+        ("1e300", "active volume v=1e+300 outside (0, V=370.0]"),
+    ], ids=["below-v0", "above-V"])
+    def test_volumes_checked_before_baseline(self, runner, volumes, message):
+        # f(v0, n0) overflows for MXM at n0 = 1e120 (exit 1), but the bad volume comes first.
+        result = runner.invoke(main, ["laws", "--machine", "frontier", "--alg", "mxm",
+                                      "--law", "amdahl", "--n0", "1e120", "--v0", "10",
+                                      "--v", volumes])
+        _assert_one_error_line(result, 2)
+        assert message in result.output
+
+
+@pytest.mark.parametrize("args, f_builds, inversions", [
+    (["solve", "--n", "1e9"], 1, 0),
+    (["sweep", "--axis", "n:1e3:1e30:20"], 20, 0),
+    (["scale", "--mode", "strong", "--n0", "1e9"], 21, 0),
+    (["scale", "--mode", "weak", "--n0", "1e9"], 21, 20),
+    (["laws", "--law", "amdahl", "--n0", "1e9"], 1, 0),
+    (["laws", "--law", "gustafson", "--n0", "1e9"], 1, 0),
+], ids=["solve", "sweep-n", "scale-strong", "scale-weak", "laws-amdahl", "laws-gustafson"])
+def test_f_builds_per_command(runner, monkeypatch, args, f_builds, inversions):
+    # f is built once per solve or sweep point, once per scale volume plus the
+    # baseline, and once for a whole laws curve; weak scaling inverts K per volume.
+    counts = {"f": 0, "invert_k": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(homlim.model, "_f_terms", counted("f", homlim.model._f_terms))
+    monkeypatch.setattr(homlim.scaling, "invert_k", counted("invert_k", homlim.scaling.invert_k))
+    result = runner.invoke(main, [args[0], "--machine", "frontier", *args[1:]])
+    assert result.exit_code == 0, result.output
+    assert counts == {"f": f_builds, "invert_k": inversions}
 
 
 class TestConfig:

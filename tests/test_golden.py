@@ -37,6 +37,8 @@ CASES = {
                     "--n0", "1e9"],
     "laws-gustafson": ["laws", "--law", "gustafson", "--machine", "frontier", "--alg", "fft",
                        "--n0", "1e9"],
+    "laws-custom": ["laws", "--config", str(GOLDEN / "custom.cfg"), "--law", "amdahl",
+                    "--n0", "1e6", "--v0", "1e-6", "--v", "1e-6,1e-4,0.01,0.5,6.9"],
 }
 
 

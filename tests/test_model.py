@@ -134,6 +134,14 @@ def test_optimal_volume_pinned_at_v_is_exact():
     assert sol.v_star == spec.V
 
 
+@pytest.mark.parametrize("cost", [cg_cost(), mxm_cost()], ids=["interior", "pinned"])
+def test_solution_breakdown_is_time_breakdown_at_v_star(cost):
+    # The solve builds its breakdown from the f it searched; it equals a fresh evaluation.
+    spec = preset("frontier")
+    sol = optimal_volume(spec, cost, 1e9)
+    assert sol.breakdown == time_breakdown(spec, cost, 1e9, sol.v_star)
+
+
 def test_cost_overflow_raises_evaluation_error():
     # 2*n**3 overflows a double for n above about 5.6e102.
     with pytest.raises(EvaluationError):

@@ -7,7 +7,7 @@ from homlim.costs import CostCoefficients, cg_cost, custom_cost, fft_cost, mxm_c
 from homlim.machines import preset
 from homlim.model import ComputerSpec, EvaluationError, time_breakdown
 from homlim.scaling import (KPolicy, generalized_speedup, invert_k, k_value, parallel_fraction,
-                            scaled_problem_size, scaled_speedup, speedup_limit,
+                            scaled_problem_size, scaled_speedup, speedup_curve, speedup_limit,
                             strong_efficiency, weak_efficiency)
 
 SPEC = ComputerSpec(pi=1e15, beta=1e13, s=1e9, c=3e8, V=1e4)
@@ -117,6 +117,35 @@ class TestLaws:
         no_lat = AlgorithmCost("NL", io=lambda n, S: 1.0, work=lambda n: 1.0,
                                wavefront=lambda v, n: 0.0, output_size=lambda n: n)
         assert speedup_limit(SPEC, no_lat, 10.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("law, point", [("amdahl", generalized_speedup),
+                                            ("gustafson", scaled_speedup)])
+    def test_curve_matches_one_point_calls(self, law, point):
+        cost = fft_cost()
+        volumes = [1.0, 3.0, 100.0, SPEC.V]
+        limit, points = speedup_curve(SPEC, cost, 1e9, 1.0, volumes, law)
+        assert limit == speedup_limit(SPEC, cost, 1e9, 1.0)
+        assert points == [(v, point(SPEC, cost, 1e9, 1.0, v)) for v in volumes]
+
+    def test_curve_rejects_bad_volumes_and_law(self):
+        cost = cg_cost()
+        with pytest.raises(ValueError, match="must be >= v0"):
+            speedup_curve(SPEC, cost, 1e9, 2.0, [4.0, 1.0], "amdahl")
+        with pytest.raises(ValueError, match=r"outside \(0, V=10000.0\]"):
+            speedup_curve(SPEC, cost, 1e9, 1.0, [1.0, 2e4], "amdahl")
+        with pytest.raises(ValueError, match="outside"):
+            generalized_speedup(SPEC, cost, 1e9, 1.0, math.nan)
+        with pytest.raises(ValueError, match="law='roofline'"):
+            speedup_curve(SPEC, cost, 1e9, 1.0, [1.0], "roofline")
+
+    def test_non_finite_speedup_is_evaluation_error(self):
+        # At a subnormal v0 the latency share is 0 and v/v0 overflows: nan and inf.
+        spec = preset("frontier")
+        with pytest.raises(EvaluationError, match=r"gustafson speedup=nan .*\(v=370.0\)"):
+            scaled_speedup(spec, cg_cost(), 1e3, 1e-310, 370.0)
+        with pytest.raises(EvaluationError, match=r"amdahl speedup=inf .*\(v=370.0\)"):
+            generalized_speedup(spec, cg_cost(), 1e3, 1e-310, 370.0)
+        assert math.isfinite(generalized_speedup(spec, cg_cost(), 1e3, 1e-300, 370.0))
 
 
 def test_parallel_fraction_complements_latency():

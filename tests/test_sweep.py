@@ -5,7 +5,7 @@ import pytest
 
 from homlim.costs import cg_cost, mxm_cost
 from homlim.machines import preset
-from homlim.model import ComputerSpec, optimal_volume
+from homlim.model import ComputerSpec, classify_regime, optimal_volume
 from homlim.sweep import (AxisSpec, SweepGrid, peak_performance_over_n,
                           run_sweep, saturation_point)
 
@@ -91,7 +91,7 @@ class TestRunSweep:
         r = records[0]
         assert r.v_star == pytest.approx(direct.v_star, rel=1e-9)
         assert r.total == pytest.approx(direct.breakdown.total, rel=1e-12)
-        assert r.regime == direct.regime.value
+        assert r.regime == classify_regime(direct.breakdown).value
 
     def test_requires_n(self):
         with pytest.raises(ValueError, match="n"):
