@@ -25,9 +25,11 @@ from .scaling import DEFAULT_V0_FACTOR, KPolicy, scaling_curve, speedup_curve
 # benchmarks/tracer.py patches these here by name.
 from .scaling import (generalized_speedup, scaled_problem_size, scaled_speedup,  # noqa: F401
                       speedup_limit, strong_efficiency, weak_efficiency)
-from .sweep import AxisSpec, DEFAULT_POINT_CAP, DEFAULT_RANGES, SweepGrid, run_sweep
+from .sweep import AxisSpec, DEFAULT_POINT_CAP, SweepGrid, SweepRecord, run_sweep
 
-CSV_COLUMNS = "pi,beta,s,c,V,n,v_star,t_work,t_io,t_lat,total,performance,regime"
+# The sweep CSV columns are SweepRecord's fields; an error text replaces the regime.
+_SWEEP_FIELDS = tuple(field.name for field in dataclasses.fields(SweepRecord))[:-1]
+CSV_COLUMNS = ",".join(_SWEEP_FIELDS)
 
 # The idealized medium used when no machine preset is named: unit densities,
 # speed of light, 3D geometry.
@@ -102,7 +104,10 @@ def _fmt(x: float) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:  # an unwritable path is bad configuration (exit 2)
+            raise click.UsageError(f"cannot write --output {output}: {exc.strerror}") from None
     else:
         click.echo(text, nl=False)
 
@@ -110,8 +115,6 @@ def _emit(text: str, output: str | None) -> None:
 def _parse_axis(text: str) -> AxisSpec:
     parts = text.split(":")
     name = parts[0]
-    if name not in DEFAULT_RANGES and name != "v":
-        raise click.UsageError(f"unknown sweep axis {name!r}")
     try:
         if len(parts) == 1:
             return AxisSpec.default(name)
@@ -274,8 +277,6 @@ def sweep(machine, spec_of, cost_of, alg, axes, n_, v_, output):
             fixed["n"] = values[0]
         else:
             axis_specs.append(AxisSpec("n", explicit=values))
-    elif not any(a.name == "n" for a in axis_specs):
-        raise click.UsageError("problem size required: pass --n or an n axis")
 
     grid = SweepGrid(axes=tuple(axis_specs), fixed=fixed)
     lines = [
@@ -290,9 +291,9 @@ def sweep(machine, spec_of, cost_of, alg, axes, n_, v_, output):
             if len(machines) > 1 or len(algs) > 1:
                 lines.append(f"# machine={m} algorithm={cost.name}")
             for r in run_sweep(grid, spec, cost):
-                row = [_fmt(x) for x in (r.pi, r.beta, r.s, r.c, r.V, r.n, r.v_star,
-                                         r.t_work, r.t_io, r.t_lat, r.total, r.performance)]
-                row.append(r.regime if r.error is None else f"error:{r.error}")
+                *numbers, regime = (getattr(r, name) for name in _SWEEP_FIELDS)
+                row = [_fmt(x) for x in numbers]
+                row.append(regime if r.error is None else f"error:{r.error}")
                 lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", output)
 

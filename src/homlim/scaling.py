@@ -110,14 +110,9 @@ def parallel_fraction(spec: ComputerSpec, cost: AlgorithmCost, n: float, v: floa
     return (b.t_work + b.t_io) / b.total
 
 
-def speedup_curve(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
-                  volumes: Sequence[float], law: str) -> tuple[float, list[tuple[float, float]]]:
-    """The limit T(v0)/T_L(v0) (inf when L == 0) and (v, speedup) per volume under one law.
-
-    law is "amdahl" (generalized_speedup) or "gustafson" (scaled_speedup). Checks every
-    volume against [v0, V], then evaluates f(v0, n0) once; a speedup that is not finite
-    is an EvaluationError.
-    """
+def _speedups(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
+              volumes: Sequence[float], law: str):
+    """The breakdown of f(v0, n0) and (v, speedup) per volume; see speedup_curve."""
     if law not in ("amdahl", "gustafson"):
         raise ValueError(f"law={law!r} must be 'amdahl' or 'gustafson'")
     for v in volumes:
@@ -126,7 +121,6 @@ def speedup_curve(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
         if not v <= spec.V:
             raise ValueError(f"active volume v={v!r} outside (0, V={spec.V!r}]")
     b = time_breakdown(spec, cost, n0, v0)
-    limit = math.inf if b.t_lat == 0.0 else b.total / b.t_lat
     t = b.t_lat / b.total  # the sequential fraction at (v0, n0)
     points = []
     for v in volumes:
@@ -135,21 +129,36 @@ def speedup_curve(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
         if not math.isfinite(speedup):
             raise EvaluationError(f"{law} speedup={speedup!r} is not representable (v={v!r})")
         points.append((v, speedup))
+    return b, points
+
+
+def speedup_curve(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
+                  volumes: Sequence[float], law: str) -> tuple[float, list[tuple[float, float]]]:
+    """The limit T(v0)/T_L(v0) (inf only when T_L == 0) and (v, speedup) per volume under one law.
+
+    law is "amdahl" (generalized_speedup) or "gustafson" (scaled_speedup). Checks every
+    volume against [v0, V], then evaluates f(v0, n0) once; a speedup that is not finite, or a
+    limit that overflows a double, is an EvaluationError.
+    """
+    b, points = _speedups(spec, cost, n0, v0, volumes, law)
+    limit = math.inf if b.t_lat == 0.0 else b.total / b.t_lat
+    if math.isinf(limit) and b.t_lat:
+        raise EvaluationError(f"speedup limit T/T_L = {b.total!r}/{b.t_lat!r} overflows a double")
     return limit, points
 
 
 def generalized_speedup(spec: ComputerSpec, cost: AlgorithmCost, n: float,
                         v0: float, v: float) -> float:
     """Amdahl generalized: 1 / (v0/v + (1 - v0/v) * T_L(v0)/T(v0))."""
-    return speedup_curve(spec, cost, n, v0, (v,), "amdahl")[1][0][1]
+    return _speedups(spec, cost, n, v0, (v,), "amdahl")[1][0][1]
 
 
 def speedup_limit(spec: ComputerSpec, cost: AlgorithmCost, n: float, v0: float) -> float:
-    """T(v0)/T_L(v0), the ceiling of the generalized speedup; inf when L == 0."""
+    """T(v0)/T_L(v0), the ceiling of the generalized speedup; inf when T_L == 0."""
     return speedup_curve(spec, cost, n, v0, (), "amdahl")[0]
 
 
 def scaled_speedup(spec: ComputerSpec, cost: AlgorithmCost, n0: float,
                    v0: float, v: float) -> float:
     """Gustafson generalized: v/v0 + (1 - v/v0) * T_L(v0)/T(v0)."""
-    return speedup_curve(spec, cost, n0, v0, (v,), "gustafson")[1][0][1]
+    return _speedups(spec, cost, n0, v0, (v,), "gustafson")[1][0][1]

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from .costs import AlgorithmCost
 from .model import ComputerSpec, classify_regime, optimal_volume, time_breakdown
 
 AXIS_PARAMETERS = ("pi", "beta", "s", "c", "V", "n", "v")
+_SPEC_PARAMETERS = AXIS_PARAMETERS[:5]  # the ComputerSpec fields; n and v are the point's
 DEFAULT_POINT_CAP = 1_000_000
 
 # Default axis ranges: 20 log-spaced points per parameter.
@@ -53,7 +54,10 @@ class AxisSpec:
 
     @classmethod
     def default(cls, name: str) -> "AxisSpec":
-        lo, hi = DEFAULT_RANGES[name]
+        """20 log-spaced points over DEFAULT_RANGES[name]; v and c have no default range."""
+        if name not in DEFAULT_RANGES and name in AXIS_PARAMETERS:
+            raise ValueError(f"sweep parameter {name!r} has no default range; give NAME:LO:HI:POINTS")
+        lo, hi = DEFAULT_RANGES.get(name, (1.0, 2.0))  # __post_init__ refuses an unknown name
         return cls(name, lo, hi, 20, "log")
 
     def values(self) -> np.ndarray:
@@ -68,7 +72,7 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes (row-major, declaration order) plus fixed parameter values."""
+    """Axes (row-major, declaration order) plus fixed values; a parameter is one or the other."""
 
     axes: tuple[AxisSpec, ...] = ()
     fixed: dict[str, float] = field(default_factory=dict)
@@ -83,6 +87,10 @@ class SweepGrid:
         for key in self.fixed:
             if key not in AXIS_PARAMETERS:
                 raise ValueError(f"unknown fixed parameter {key!r}")
+            if key in names:
+                raise ValueError(f"sweep parameter {key!r} is both fixed and swept")
+        if "n" not in self.fixed and "n" not in names:
+            raise ValueError("problem size n must be fixed or swept")
 
     def size(self) -> int:
         """Point count, from the axis specs alone (no axis is built)."""
@@ -110,27 +118,24 @@ class SweepRecord:
     error: str | None = None
 
 
-def _error_record(spec: ComputerSpec | None, n: float, exc: Exception) -> SweepRecord:
-    """A failed point: its inputs (NaN when the spec itself is invalid), NaN results."""
-    nan = math.nan
-    pi, beta, s, c, V = ((nan,) * 5 if spec is None
-                         else (spec.pi, spec.beta, spec.s, spec.c, spec.V))
-    return SweepRecord(pi=pi, beta=beta, s=s, c=c, V=V, n=n, v_star=nan, t_work=nan,
-                       t_io=nan, t_lat=nan, total=nan, performance=nan, regime="error",
-                       error=str(exc))
-
-
-def _evaluate_point(spec: ComputerSpec, cost: AlgorithmCost, n: float,
-                    v: float | None) -> SweepRecord:
+def _point_record(template: ComputerSpec, cost: AlgorithmCost,
+                  point: dict[str, float]) -> SweepRecord:
+    """The row of one grid point: its inputs, then the breakdown at the optimal volume, or
+    at v when v is given; NaN results and the error text when the spec or f fails."""
+    inputs = {name: float(point[name]) if name in point else getattr(template, name)
+              for name in _SPEC_PARAMETERS}
+    n, v = float(point["n"]), point.get("v")
     try:
+        spec = replace(template, **inputs)
         b = (optimal_volume(spec, cost, n).breakdown if v is None
-             else time_breakdown(spec, cost, n, v))
-        return SweepRecord(pi=spec.pi, beta=spec.beta, s=spec.s, c=spec.c, V=spec.V,
-                           n=n, v_star=b.v_used, t_work=b.t_work, t_io=b.t_io,
-                           t_lat=b.t_lat, total=b.total, performance=b.performance,
-                           regime=classify_regime(b).value)
+             else time_breakdown(spec, cost, n, float(v)))
     except (ValueError, ArithmeticError) as exc:
-        return _error_record(spec, n, exc)
+        nan = math.nan
+        return SweepRecord(**inputs, n=n, v_star=nan, t_work=nan, t_io=nan, t_lat=nan,
+                           total=nan, performance=nan, regime="error", error=str(exc))
+    return SweepRecord(**inputs, n=n, v_star=b.v_used, t_work=b.t_work, t_io=b.t_io,
+                       t_lat=b.t_lat, total=b.total, performance=b.performance,
+                       regime=classify_regime(b).value)
 
 
 def run_sweep(grid: SweepGrid, spec_template: ComputerSpec,
@@ -143,27 +148,9 @@ def run_sweep(grid: SweepGrid, spec_template: ComputerSpec,
     """
     if grid.size() > grid.cap:
         raise ValueError(f"sweep size {grid.size()} exceeds cap {grid.cap}")
-
-    axis_names = [a.name for a in grid.axes]
-    axis_values = [a.values() for a in grid.axes]
-
-    records = []
-    for combo in product(*axis_values) if grid.axes else [()]:
-        params: dict[str, float] = dict(grid.fixed)
-        params.update(zip(axis_names, combo))
-
-        n = params.pop("n", None)
-        if n is None:
-            raise ValueError("problem size n must be fixed or swept")
-        v = params.pop("v", None)
-        try:
-            spec = replace(spec_template, **{k: float(x) for k, x in params.items()})
-        except ValueError as exc:
-            records.append(_error_record(None, n, exc))
-            continue
-        records.append(_evaluate_point(spec, cost, float(n),
-                                       None if v is None else float(v)))
-    return records
+    names = [a.name for a in grid.axes]
+    return [_point_record(spec_template, cost, {**grid.fixed, **dict(zip(names, combo))})
+            for combo in product(*(a.values() for a in grid.axes))]
 
 
 def peak_performance_over_n(spec: ComputerSpec, cost: AlgorithmCost,
@@ -171,7 +158,7 @@ def peak_performance_over_n(spec: ComputerSpec, cost: AlgorithmCost,
                             points: int = 20) -> tuple[float, float]:
     """Sweep n log-spaced, optimizing v at each n; return (n_peak, perf_peak)."""
     best_n, best_perf = n_lo, -math.inf
-    for n in np.logspace(math.log10(n_lo), math.log10(n_hi), points):
+    for n in AxisSpec("n", n_lo, n_hi, points).values():
         sol = optimal_volume(spec, cost, float(n))
         if sol.breakdown.performance > best_perf:
             best_n, best_perf = float(n), sol.breakdown.performance

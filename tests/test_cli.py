@@ -216,11 +216,54 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", "--n", "1e6", "--axis", "zeta:1:10:3"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("axis", ["v", "c", "zeta"])
+    def test_bare_axis_without_default_range_exit_2(self, runner, axis):
+        result = runner.invoke(main, ["sweep", "--n", "1e9", "--axis", axis])
+        _assert_one_error_line(result, 2)
+        message = "unknown sweep parameter" if axis == "zeta" else "has no default range"
+        assert message in result.output
+
+    def test_signal_speed_axis(self, runner):
+        result = runner.invoke(main, ["sweep", "--n", "1e9", "--axis", "c:1e5:1e8:3"])
+        assert result.exit_code == 0, result.output
+        rows = [l.split(",") for l in result.output.splitlines() if l and not l.startswith("#")]
+        assert rows[0][3] == "c"
+        assert [float(row[3]) for row in rows[1:]] == pytest.approx([1e5, 10**6.5, 1e8], rel=1e-8)
+
+    @pytest.mark.parametrize("args, name", [
+        (["--n", "1e9", "--axis", "n:1e3:1e6:2"], "n"),
+        (["--n", "1e9", "--v", "5", "--axis", "v:1:2:2"], "v"),
+    ], ids=["n", "v"])
+    def test_fixed_and_swept_parameter_exit_2(self, runner, args, name):
+        result = runner.invoke(main, ["sweep", *args])
+        _assert_one_error_line(result, 2)
+        assert f"sweep parameter {name!r} is both fixed and swept" in result.output
+
+    def test_invalid_spec_row_keeps_its_inputs(self, runner):
+        result = runner.invoke(main, ["sweep", "--n", "1e9", "--axis", "pi:0:1:3:linear"])
+        assert result.exit_code == 0, result.output
+        first = result.output.splitlines()[3].split(",", 12)
+        assert [float(x) for x in first[:6]] == [0.0, 1.0, 1.0, 3e8, 1e6, 1e9]
+        assert first[-1] == "error:ComputerSpec.pi must be positive and finite, got 0.0"
+
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
         result = runner.invoke(main, ["sweep", "--n", "1e6", "--output", str(out)])
         assert result.exit_code == 0
         assert out.read_text().startswith("#")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--n", "1e9"],
+    ["sweep", "--n", "1e9"],
+    ["scale", "--mode", "strong", "--n0", "1e9"],
+    ["laws", "--law", "amdahl", "--n0", "1e9"],
+], ids=["solve", "sweep", "scale", "laws"])
+def test_unwritable_output_exit_2(runner, tmp_path, command):
+    out = tmp_path / "missing" / "out.txt"
+    result = runner.invoke(main, command + ["--output", str(out)])
+    _assert_one_error_line(result, 2)
+    assert "cannot write --output" in result.output and "No such file or directory" in result.output
 
 
 class TestScale:
@@ -317,7 +360,7 @@ class TestLaws:
         assert f"{message} is not representable (v=370.0)" in result.output
 
     @pytest.mark.parametrize("args, gustafson_exit", [
-        (["--machine", "frontier", "--v0", "1e-300"], 0),
+        (["--machine", "frontier", "--v0", "1e-200"], 0),
         (["--c", "1e-200", "--v0", "1e-303"], 1),  # V/v0 = 1e309 overflows a double
     ], ids=["frontier", "slow-signal"])
     def test_amdahl_checks_only_its_own_law(self, runner, args, gustafson_exit):
@@ -329,6 +372,14 @@ class TestLaws:
         assert all(math.isfinite(float(x)) for row in rows for x in row)
         result = runner.invoke(main, ["laws", "--law", "gustafson", "--n0", "1e3", *args])
         assert result.exit_code == gustafson_exit, result.output
+
+    @pytest.mark.parametrize("law", ["amdahl", "gustafson"])
+    def test_overflowing_limit_exit_1(self, runner, law):
+        # T_L(v0) = 1.4e-156 > 0, so the ceiling T/T_L is finite but above the largest double.
+        result = runner.invoke(main, ["laws", "--machine", "frontier", "--law", law,
+                                      "--n0", "1e3", "--v0", "1e-300"])
+        _assert_one_error_line(result, 1)
+        assert "speedup limit T/T_L" in result.output and "overflows a double" in result.output
 
     @pytest.mark.parametrize("volumes", ["1e400", "1e300", "1,1e300"])
     def test_volume_above_V_exit_2(self, runner, volumes):

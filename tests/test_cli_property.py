@@ -23,6 +23,7 @@ COMMANDS = {
     "solve-pi": lambda t: ["solve", "--n", "1e6", "--pi", t],
     "sweep-n": lambda t: ["sweep", "--n", t],
     "sweep-axis": lambda t: ["sweep", "--axis", "n:" + t],
+    "sweep-axis-name": lambda t: ["sweep", "--n", "1e6", "--axis", t],
     "scale-v": lambda t: ["scale", "--mode", "strong", "--n0", "1e6", "--v", t],
     "laws-n0": lambda t: ["laws", "--law", "amdahl", "--n0", t],
     "laws-v": lambda t: ["laws", "--machine", "frontier", "--law", "gustafson", "--n0", "1e3",
@@ -48,6 +49,8 @@ def _numbers(output: str) -> list[float]:
 @given(text=TEXT)
 @example(text="1e-310").via("a subnormal volume")  # v/v0 overflows when it is v0
 @example(text="1e400").via("a volume that overflows a double")
+@example(text="v").via("an axis name without a default range")  # TEXT has no v
+@example(text="c").via("an axis name without a default range")
 def test_exit_code_contract(command, text):
     # A small sweep cap keeps each example fast; a grid above it takes the same
     # exit-2 path as one above the default cap.

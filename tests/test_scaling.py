@@ -147,6 +147,14 @@ class TestLaws:
             generalized_speedup(spec, cg_cost(), 1e3, 1e-310, 370.0)
         assert math.isfinite(generalized_speedup(spec, cg_cost(), 1e3, 1e-300, 370.0))
 
+    def test_overflowing_limit_is_evaluation_error(self):
+        # T_L(v0) = 1.4e-156 on Frontier CG at v0 = 1e-300: the ceiling is finite, but not
+        # a double. It stays representable at v0 = 1e-200.
+        spec = preset("frontier")
+        with pytest.raises(EvaluationError, match="speedup limit T/T_L .* overflows a double"):
+            speedup_limit(spec, cg_cost(), 1e3, 1e-300)
+        assert speedup_limit(spec, cg_cost(), 1e3, 1e-200) == pytest.approx(1.2383e296, rel=1e-4)
+
 
 def test_parallel_fraction_complements_latency():
     cost = fft_cost()

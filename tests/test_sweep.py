@@ -31,6 +31,13 @@ class TestAxisSpec:
         ax = AxisSpec("n", explicit=(3.0, 1.0, 2.0))
         assert list(ax.values()) == [3.0, 1.0, 2.0]
 
+    @pytest.mark.parametrize("name", ["v", "c"])
+    def test_default_needs_a_default_range(self, name):
+        with pytest.raises(ValueError, match=f"{name!r} has no default range"):
+            AxisSpec.default(name)
+        with pytest.raises(ValueError, match="unknown sweep parameter"):
+            AxisSpec.default("zeta")
+
     def test_default_ranges(self):
         ax = AxisSpec.default("pi")
         vals = ax.values()
@@ -60,6 +67,17 @@ class TestSweepGrid:
     def test_duplicate_axes(self):
         with pytest.raises(ValueError, match="duplicate"):
             SweepGrid(axes=(AxisSpec("pi", 1, 10), AxisSpec("pi", 1, 100)))
+
+    @pytest.mark.parametrize("name, value", [("n", 1e9), ("v", 5.0), ("pi", 1.0)],
+                             ids=["n", "v", "pi"])
+    def test_fixed_and_swept_rejected(self, name, value):
+        fixed = {"n": 1e9, name: value}
+        with pytest.raises(ValueError, match=f"parameter {name!r} is both fixed and swept"):
+            SweepGrid(axes=(AxisSpec(name, 1, 2, 2),), fixed=fixed)
+
+    def test_requires_n_when_built(self):
+        with pytest.raises(ValueError, match="problem size n must be fixed or swept"):
+            SweepGrid(axes=(AxisSpec("pi", 1, 10, 3),))
 
     def test_size(self):
         grid = SweepGrid(axes=(AxisSpec("pi", 1, 10, 4), AxisSpec("n", 1e3, 1e6, 5)))
@@ -127,6 +145,14 @@ class TestRunSweep:
         assert records[1].error is not None
         assert records[1].regime == "error"
         assert math.isnan(records[1].total)
+
+    def test_invalid_spec_row_keeps_its_inputs(self):
+        grid = SweepGrid(axes=(AxisSpec("pi", explicit=(0.0, 1.0)),), fixed={"n": 1e6})
+        bad, good = run_sweep(grid, SPEC, cg_cost())
+        assert (bad.pi, bad.beta, bad.s, bad.c, bad.V, bad.n) == (0.0, 1e13, 1e9, 3e8, 1e4, 1e6)
+        assert bad.regime == "error" and "ComputerSpec.pi" in bad.error
+        assert math.isnan(bad.v_star) and math.isnan(bad.total)
+        assert good.error is None
 
     def test_two_axis_regime_blocks_contiguous(self):
         # Along each s-row of a (pi, s) sweep, regime labels change at most
