@@ -7,18 +7,19 @@ supplies option defaults, keyed by option name; explicit flags override it.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
-import re
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .costs import AlgorithmCost, BUILTIN_COSTS, CostCoefficients, custom_cost
-from .machines import available_presets, get_preset, preset, read_key_values
+from .machines import available_presets, get_preset, parse_quantity, preset, read_key_values
 from .model import (ComputerSpec, CUBE_ROOT, DistanceFn, classify_regime, optimal_volume,
                     time_breakdown)
 from .scaling import DEFAULT_V0_FACTOR, KPolicy, scaling_curve, speedup_curve
@@ -29,38 +30,13 @@ from .sweep import AxisSpec, DEFAULT_POINT_CAP, SweepGrid, SweepRecord, run_swee
 
 # The sweep CSV columns are SweepRecord's fields; an error text replaces the regime.
 _SWEEP_FIELDS = tuple(field.name for field in dataclasses.fields(SweepRecord))[:-1]
-CSV_COLUMNS = ",".join(_SWEEP_FIELDS)
 
 # The idealized medium used when no machine preset is named: unit densities,
 # speed of light, 3D geometry.
 IDEAL_SPEC = ComputerSpec(pi=1.0, beta=1.0, s=1.0, c=3e8, V=1e6, distance=CUBE_ROOT)
 
-_SUFFIXES = {
-    "Eflop/s": 1e18, "Pflop/s": 1e15, "Tflop/s": 1e12, "Gflop/s": 1e9, "flop/s": 1.0,
-    "EB/s": 1e18, "PB/s": 1e15, "TB/s": 1e12, "GB/s": 1e9, "MB/s": 1e6, "B/s": 1.0,
-    "EB": 1e18, "PB": 1e15, "TB": 1e12, "GB": 1e9, "MB": 1e6, "KB": 1e3, "B": 1.0,
-    "mm2": 1e-6, "cm2": 1e-4, "m2": 1.0, "m3": 1.0, "m/s": 1.0, "m": 1.0,
-}
-# A decimal number, then an optional unit suffix, which starts with a letter.
-_QUANTITY_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-                          r"\s*([A-Za-z].*)?")
-
 # The --alg custom coefficients, read from the config keys cost_<field>.
 _COST_FIELDS = tuple(field.name for field in dataclasses.fields(CostCoefficients))
-
-
-def parse_quantity(text: str) -> float:
-    """'1e12', '122.3PB/s', '826mm2' ... -> SI base value."""
-    text = text.strip()
-    m = _QUANTITY_RE.fullmatch(text)
-    if not m:
-        raise click.UsageError(f"cannot parse number {text!r}")
-    value, suffix = float(m.group(1)), m.group(2)
-    if suffix is None:
-        return value
-    if suffix not in _SUFFIXES:
-        raise click.UsageError(f"unknown unit suffix {suffix!r} in {text!r}")
-    return value * _SUFFIXES[suffix]
 
 
 class Quantity(click.ParamType):
@@ -71,7 +47,7 @@ class Quantity(click.ParamType):
             return float(value)
         try:
             return parse_quantity(value)
-        except click.UsageError as exc:
+        except ValueError as exc:
             self.fail(str(exc), param, ctx)
 
 
@@ -171,8 +147,8 @@ _SPEC_OPTIONS = [
     click.option("--s", type=QUANTITY, default=None, help="Override memory density."),
     click.option("--c", type=QUANTITY, default=None, help="Override signal speed."),
     click.option("--v-total", "V", type=QUANTITY, default=None, help="Override total volume."),
-    click.option("--distance-exponent", type=float, default=None),
-    click.option("--distance-prefactor", type=float, default=None),
+    click.option("--distance-exponent", type=QUANTITY, default=None),
+    click.option("--distance-prefactor", type=QUANTITY, default=None),
     click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
                  expose_value=False, callback=_read_config,
                  help="key=value config file; flags override it."),
@@ -268,7 +244,10 @@ def sweep(machine, spec_of, cost_of, alg, axes, n_, v_, output):
     algs = [a.strip() for a in alg.split(",")]
 
     axis_specs = [_parse_axis(a) for a in axes]
-    fixed: dict[str, float] = {}
+    # A spec value given by flag or config is fixed, so the grid refuses an axis over it too.
+    params = click.get_current_context().params
+    fixed = {name: params[name] for name in ("pi", "beta", "s", "c", "V")
+             if params[name] is not None}
     if v_ is not None:
         fixed["v"] = v_
     if n_ is not None:
@@ -279,23 +258,22 @@ def sweep(machine, spec_of, cost_of, alg, axes, n_, v_, output):
             axis_specs.append(AxisSpec("n", explicit=values))
 
     grid = SweepGrid(axes=tuple(axis_specs), fixed=fixed)
-    lines = [
-        f"# homlim sweep machines={','.join(machines)} algs={','.join(algs)}",
-        f"# axes={';'.join(a or 'none' for a in axes) or 'none'} fixed={fixed!r}",
-        CSV_COLUMNS,
-    ]
+    text = io.StringIO()
+    text.write(f"# homlim sweep machines={','.join(machines)} algs={','.join(algs)}\n"
+               f"# axes={';'.join(a or 'none' for a in axes) or 'none'} fixed={fixed!r}\n")
+    rows = csv.writer(text, lineterminator="\n")  # quotes an error text that holds a comma
+    rows.writerow(_SWEEP_FIELDS)
     for m in machines:
         spec = spec_of(m)
         for a in algs:
             cost = cost_of(a)
             if len(machines) > 1 or len(algs) > 1:
-                lines.append(f"# machine={m} algorithm={cost.name}")
+                text.write(f"# machine={m} algorithm={cost.name}\n")
             for r in run_sweep(grid, spec, cost):
                 *numbers, regime = (getattr(r, name) for name in _SWEEP_FIELDS)
-                row = [_fmt(x) for x in numbers]
-                row.append(regime if r.error is None else f"error:{r.error}")
-                lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", output)
+                rows.writerow([*map(_fmt, numbers),
+                               regime if r.error is None else f"error:{r.error}"])
+    _emit(text.getvalue(), output)
 
 
 @main.command()

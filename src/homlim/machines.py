@@ -2,17 +2,18 @@
 
 Presets store machine totals (flop/s, byte/s, bytes, m^2) and derive the
 densities on demand. Extra preset directories can be supplied through the
-HOMLIM_PRESET_PATH environment variable (os.pathsep-separated).
+HOMLIM_PRESET_PATH environment variable (os.pathsep-separated). Preset and
+config files share one key=value reader and one number grammar.
 """
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, replace
+import re
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .model import ComputerSpec, DistanceFn
+from .model import ComputerSpec, DistanceFn, require_positive_finite
 
 PRESET_PATH_ENV = "HOMLIM_PRESET_PATH"
 PRESET_SUFFIX = ".preset"
@@ -30,9 +31,8 @@ class ChipSpec:
     word_bytes: int = DEFAULT_WORD_BYTES
 
     def __post_init__(self):
-        for field in ("peak_flops", "mem_bandwidth", "fast_memory", "die_area", "word_bytes"):
-            if not getattr(self, field) > 0:
-                raise ValueError(f"ChipSpec.{field} must be positive")
+        require_positive_finite(
+            self, ("peak_flops", "mem_bandwidth", "fast_memory", "die_area", "word_bytes"))
 
 
 # Nvidia A100: 7nm, 826 mm^2 die, ~30 Tflop/s FP64 (tensor), 1550 GB/s HBM,
@@ -64,9 +64,8 @@ class MachinePreset:
     notes: str = ""
 
     def __post_init__(self):
-        for field in ("pi_total_flops", "b_total_bytes", "s_total_bytes", "volume", "c", "word_bytes"):
-            if not getattr(self, field) > 0:
-                raise ValueError(f"MachinePreset.{field} must be positive")
+        require_positive_finite(self, ("pi_total_flops", "b_total_bytes", "s_total_bytes",
+                                       "volume", "c", "word_bytes"))
 
     def to_spec(self) -> ComputerSpec:
         return ComputerSpec(
@@ -79,9 +78,35 @@ class MachinePreset:
         )
 
 
-_NUMERIC_KEYS = {"pi_total_flops", "b_total_bytes", "s_total_bytes", "volume",
-                 "c", "distance_exponent", "distance_prefactor", "word_bytes"}
-_REQUIRED_KEYS = {"name", "pi_total_flops", "b_total_bytes", "s_total_bytes", "volume", "c"}
+# A preset file's keys and their type names (annotations are strings in this
+# module): MachinePreset's fields, with the distance given as the DistanceFn
+# fields distance_prefactor and distance_exponent.
+_PRESET_KEYS = {f.name: f.type for f in fields(MachinePreset) if f.name != "distance"}
+_PRESET_KEYS.update({f"distance_{f.name}": f.type for f in fields(DistanceFn)})
+
+_SUFFIXES = {
+    "Eflop/s": 1e18, "Pflop/s": 1e15, "Tflop/s": 1e12, "Gflop/s": 1e9, "flop/s": 1.0,
+    "EB/s": 1e18, "PB/s": 1e15, "TB/s": 1e12, "GB/s": 1e9, "MB/s": 1e6, "B/s": 1.0,
+    "EB": 1e18, "PB": 1e15, "TB": 1e12, "GB": 1e9, "MB": 1e6, "KB": 1e3, "B": 1.0,
+    "mm2": 1e-6, "cm2": 1e-4, "m2": 1.0, "m3": 1.0, "m/s": 1.0, "m": 1.0,
+}
+# A decimal number, then an optional unit suffix, which starts with a letter.
+_QUANTITY_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                          r"\s*([A-Za-z].*)?")
+
+
+def parse_quantity(text: str) -> float:
+    """'1e12', '122.3PB/s', '826mm2' ... -> SI base value."""
+    text = text.strip()
+    m = _QUANTITY_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"cannot parse number {text!r}")
+    value, suffix = float(m.group(1)), m.group(2)
+    if suffix is None:
+        return value
+    if suffix not in _SUFFIXES:
+        raise ValueError(f"unknown unit suffix {suffix!r} in {text!r}")
+    return value * _SUFFIXES[suffix]
 
 
 def read_key_values(text: str, source: str = "<string>") -> dict[str, str]:
@@ -94,63 +119,53 @@ def read_key_values(text: str, source: str = "<string>") -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{source}:{lineno}: key {key!r} given twice")
+        values[key] = value.strip()
     return values
 
 
 def parse_preset(text: str, source: str = "<string>") -> MachinePreset:
-    """Parse the key=value preset format; '#' starts a comment."""
+    """Parse the key=value preset format; numbers are read by parse_quantity."""
     values = read_key_values(text, source)
-    missing = _REQUIRED_KEYS - values.keys()
+    unknown = [key for key in values if key not in _PRESET_KEYS]
+    if unknown:
+        raise ValueError(f"{source}: unknown preset key {unknown[0]!r}")
+    missing = [f.name for f in fields(MachinePreset)
+               if f.default is MISSING and f.name != "distance" and f.name not in values]
     if missing:
-        raise ValueError(f"{source}: missing preset keys: {sorted(missing)}")
+        raise ValueError(f"{source}: missing preset keys: {missing}")
 
-    parsed: dict[str, float] = {}
-    for key in _NUMERIC_KEYS & values.keys():
+    args: dict[str, object] = {}
+    for key, value in values.items():
+        kind = _PRESET_KEYS[key]
         try:
-            parsed[key] = float(values[key])
+            number = value if kind == "str" else parse_quantity(value)
+            if kind == "int" and not number.is_integer():
+                raise ValueError(f"{value!r} is not a whole number")
         except ValueError as exc:
-            raise ValueError(f"{source}: bad numeric value for {key}: {values[key]!r}") from exc
-
-    distance = DistanceFn(
-        prefactor=parsed.get("distance_prefactor", 1.0),
-        exponent=parsed.get("distance_exponent", 1.0 / 3.0),
-    )
-    return MachinePreset(
-        name=values["name"],
-        pi_total_flops=parsed["pi_total_flops"],
-        b_total_bytes=parsed["b_total_bytes"],
-        s_total_bytes=parsed["s_total_bytes"],
-        volume=parsed["volume"],
-        c=parsed["c"],
-        distance=distance,
-        word_bytes=int(parsed.get("word_bytes", DEFAULT_WORD_BYTES)),
-        notes=values.get("notes", ""),
-    )
-
-
-def _builtin_presets() -> dict[str, MachinePreset]:
-    presets = {}
-    data = resources.files("homlim") / "data"
-    for entry in sorted(data.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(PRESET_SUFFIX):
-            p = parse_preset(entry.read_text(), source=entry.name)
-            presets[p.name] = p
-    return presets
+            raise ValueError(f"{source}: bad numeric value for {key}: {exc}") from None
+        args[key] = int(number) if kind == "int" else number
+    distance = {key.removeprefix("distance_"): args.pop(key)
+                for key in list(args) if key.startswith("distance_")}
+    try:
+        return MachinePreset(**args, distance=DistanceFn(**distance))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def available_presets() -> dict[str, MachinePreset]:
-    """Built-in presets plus any found on HOMLIM_PRESET_PATH (which win on name clash)."""
-    presets = _builtin_presets()
-    for directory in os.environ.get(PRESET_PATH_ENV, "").split(os.pathsep):
-        if not directory:
-            continue
-        path = Path(directory)
-        if not path.is_dir():
-            continue
-        for file in sorted(path.glob(f"*{PRESET_SUFFIX}")):
-            p = parse_preset(file.read_text(), source=str(file))
-            presets[p.name] = p
+    """Built-in presets, then those on HOMLIM_PRESET_PATH; a later file wins a name clash."""
+    directories = [resources.files("homlim") / "data"]
+    directories += [Path(d) for d in os.environ.get(PRESET_PATH_ENV, "").split(os.pathsep)
+                    if d and Path(d).is_dir()]
+    presets = {}
+    for directory in directories:
+        for file in sorted(directory.iterdir(), key=lambda f: f.name):
+            if file.name.endswith(PRESET_SUFFIX):
+                p = parse_preset(file.read_text(), source=str(file))
+                presets[p.name] = p
     return presets
 
 

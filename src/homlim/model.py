@@ -30,6 +30,14 @@ class OptimizationError(ArithmeticError):
     """Volume minimization failed; the EvaluationError that stopped it is the cause."""
 
 
+def require_positive_finite(obj, names) -> None:
+    """Raise ValueError naming the first of obj's fields `names` that is not positive and finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{type(obj).__name__}.{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DistanceFn:
     """Farthest signal-travel distance within an active volume: prefactor * v**exponent."""
@@ -38,10 +46,7 @@ class DistanceFn:
     exponent: float = 1.0 / 3.0
 
     def __post_init__(self):
-        if not (self.prefactor > 0 and math.isfinite(self.prefactor)):
-            raise ValueError("distance prefactor must be positive and finite")
-        if not (self.exponent > 0 and math.isfinite(self.exponent)):
-            raise ValueError("distance exponent must be positive and finite")
+        require_positive_finite(self, ("prefactor", "exponent"))
 
     def __call__(self, v: float) -> float:
         if v == 0.0:
@@ -72,10 +77,7 @@ class ComputerSpec:
     distance: DistanceFn = CUBE_ROOT
 
     def __post_init__(self):
-        for field in ("pi", "beta", "s", "c", "V"):
-            value = getattr(self, field)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"ComputerSpec.{field} must be positive and finite, got {value!r}")
+        require_positive_finite(self, ("pi", "beta", "s", "c", "V"))
 
 
 class Regime(Enum):

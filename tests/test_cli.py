@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -33,14 +34,12 @@ class TestQuantityParsing:
         assert parse_quantity("370m2") == 370.0
 
     def test_unknown_suffix(self):
-        import click
-        with pytest.raises(click.UsageError):
+        with pytest.raises(ValueError):
             parse_quantity("5parsecs")
 
     @pytest.mark.parametrize("text", [".", "1.2.3", "0..0", "..e3"])
     def test_malformed_number(self, text):
-        import click
-        with pytest.raises(click.UsageError, match="cannot parse number"):
+        with pytest.raises(ValueError, match="cannot parse number"):
             parse_quantity(text)
 
     def test_bare_fraction_forms(self):
@@ -187,20 +186,21 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", "--machine", "frontier", "--alg", "mxm",
                                       "--axis", "n:1e100:1e120:3"])
         assert result.exit_code == 0
-        rows = [l for l in result.output.splitlines() if l and not l.startswith("#")][1:]
+        rows = _csv_rows(result.output)[1:]
         assert len(rows) == 3
-        assert ",error:" not in rows[0]
-        assert all(",error:" in row for row in rows[1:])
+        assert not rows[0][-1].startswith("error:")
+        assert all(row[-1].startswith("error:") for row in rows[1:])
 
     def test_underflowed_fast_memory_gives_error_rows(self, runner):
         # MXM divides by sqrt(S); where S = s*v underflows to 0 the point is an error row.
         result = runner.invoke(main, ["sweep", "--machine", "frontier", "--alg", "mxm",
                                       "--n", "1e9", "--axis", "s:1e-320:1e-300:3"])
         assert result.exit_code == 0
-        rows = [l for l in result.output.splitlines() if l and not l.startswith("#")][1:]
+        rows = _csv_rows(result.output)[1:]
         assert len(rows) == 3
-        assert all(",error:" in row and "cost overflowed a double" in row for row in rows[:2])
-        assert ",error:" not in rows[2]
+        assert all(row[-1].startswith("error:") and "cost overflowed a double" in row[-1]
+                   for row in rows[:2])
+        assert not rows[2][-1].startswith("error:")
 
     def test_volume_axis_ends_on_v(self, runner):
         result = runner.invoke(main, ["sweep", "--machine", "fugaku", "--n", "1e9",
@@ -233,16 +233,31 @@ class TestSweep:
     @pytest.mark.parametrize("args, name", [
         (["--n", "1e9", "--axis", "n:1e3:1e6:2"], "n"),
         (["--n", "1e9", "--v", "5", "--axis", "v:1:2:2"], "v"),
-    ], ids=["n", "v"])
+        (["--n", "1e9", "--pi", "5", "--axis", "pi:1:2:2"], "pi"),
+        (["--n", "1e9", "--v-total", "5", "--axis", "V:1:2:2"], "V"),
+    ], ids=["n", "v", "pi", "V"])
     def test_fixed_and_swept_parameter_exit_2(self, runner, args, name):
         result = runner.invoke(main, ["sweep", *args])
         _assert_one_error_line(result, 2)
         assert f"sweep parameter {name!r} is both fixed and swept" in result.output
 
+    def test_config_spec_value_is_fixed(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = 5\n")
+        args = ["sweep", "--config", str(cfg), "--n", "1e9"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "fixed={'beta': 5.0, 'n': 1000000000.0}" in result.output
+        assert float(_csv_rows(result.output)[1][1]) == 5.0
+        result = runner.invoke(main, args + ["--axis", "beta:1:2:2"])
+        _assert_one_error_line(result, 2)
+        assert "sweep parameter 'beta' is both fixed and swept" in result.output
+
     def test_invalid_spec_row_keeps_its_inputs(self, runner):
         result = runner.invoke(main, ["sweep", "--n", "1e9", "--axis", "pi:0:1:3:linear"])
         assert result.exit_code == 0, result.output
-        first = result.output.splitlines()[3].split(",", 12)
+        first = _csv_rows(result.output)[1]
+        assert len(first) == 13
         assert [float(x) for x in first[:6]] == [0.0, 1.0, 1.0, 3e8, 1e6, 1e9]
         assert first[-1] == "error:ComputerSpec.pi must be positive and finite, got 0.0"
 
@@ -491,6 +506,11 @@ class TestConfig:
         assert from_config.output != baseline.output
 
 
+def _csv_rows(output):
+    """The header and data rows of a sweep's CSV output, read as RFC 4180 CSV."""
+    return list(csv.reader(l for l in output.splitlines() if l and not l.startswith("#")))
+
+
 def _assert_one_error_line(result, code):
     assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit)
@@ -506,7 +526,9 @@ class TestNoTraceback:
         ["laws", "--law", "amdahl", "--n0", "1e6", "--v", "10:1:5"],
         ["solve", "--n", "."],
         ["sweep", "--n", "0..0"],
-    ], ids=["scale-v-two-fields", "laws-v-reversed", "solve-n-dot", "sweep-n-double-dot"])
+        ["solve", "--n", "1e6", "--distance-exponent", "1_0"],
+    ], ids=["scale-v-two-fields", "laws-v-reversed", "solve-n-dot", "sweep-n-double-dot",
+            "solve-distance-exponent-underscore"])
     def test_malformed_value_exit_2(self, runner, args):
         _assert_one_error_line(runner.invoke(main, args), 2)
 
@@ -527,6 +549,13 @@ class TestNoTraceback:
         result = runner.invoke(main, ["solve", "--config", str(cfg), "--n", "1e6"])
         _assert_one_error_line(result, 2)
         assert "expected key=value" in result.output
+
+    def test_config_duplicate_key_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pi = 1e10\npi = 1e12\n")
+        result = runner.invoke(main, ["solve", "--config", str(cfg), "--n", "1e6"])
+        _assert_one_error_line(result, 2)
+        assert "run.cfg:2: key 'pi' given twice" in result.output
 
     def test_config_unknown_key_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -568,6 +597,7 @@ class TestMachines:
         assert result.exit_code == 0
         assert "fugaku" in result.output
         assert "4.88000000e+17" in result.output
+        assert "\nword_bytes          8\n" in result.output
 
     def test_show_unknown_exit_2(self, runner):
         result = runner.invoke(main, ["machines", "show", "cray-1"])

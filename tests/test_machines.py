@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
+from homlim.cli import main
 from homlim.machines import (A100_CHIP, ChipSpec, DEFAULT_WORD_BYTES,
                              MachinePreset, PRESET_PATH_ENV, available_presets,
                              densities_from_chip, get_preset, parse_preset,
-                             preset, read_key_values, scale_spec)
+                             parse_quantity, preset, read_key_values, scale_spec)
 from homlim.model import DistanceFn
 
 BUILTIN_NAMES = {"frontier", "fugaku", "dgx-gh200",
@@ -59,6 +62,8 @@ def test_a100_presets_scale_by_1e9():
 def test_chip_validation():
     with pytest.raises(ValueError):
         ChipSpec(peak_flops=0, mem_bandwidth=1, fast_memory=1, die_area=1)
+    with pytest.raises(ValueError, match="ChipSpec.die_area must be positive and finite"):
+        ChipSpec(peak_flops=1, mem_bandwidth=1, fast_memory=1, die_area=math.inf)
 
 
 def test_parse_preset_round_trip():
@@ -98,6 +103,68 @@ def test_read_key_values():
     assert read_key_values(text) == {"a": "1", "b": "x", "c": "d = e"}
     with pytest.raises(ValueError, match=r"run.cfg:2: expected key=value"):
         read_key_values("a = 1\nb\n", source="run.cfg")
+    with pytest.raises(ValueError, match=r"run.cfg:3: key 'a' given twice"):
+        read_key_values("a = 1\nb = 2\n a=3\n", source="run.cfg")
+
+
+def _toy(*lines, **changes):
+    """A valid preset's text with the `changes` made, then the extra `lines`."""
+    values = {"name": "toy", "pi_total_flops": "1e15", "b_total_bytes": "8e12",
+              "s_total_bytes": "8e9", "volume": "2.0", "c": "1e6", **changes}
+    return "".join(f"{k} = {v}\n" for k, v in values.items()) + "".join(l + "\n" for l in lines)
+
+
+# Preset texts that once loaded (or exited 1), with the error that now names them.
+BAD_PRESETS = {
+    "misspelt-key": (_toy("distance_exponnt = 0.5"), "unknown preset key 'distance_exponnt'"),
+    "word-bytes-fraction": (_toy(word_bytes="8.9"),
+                            "bad numeric value for word_bytes: '8.9' is not a whole number"),
+    "word-bytes-overflow": (_toy(word_bytes="1e400"),
+                            "bad numeric value for word_bytes: '1e400' is not a whole number"),
+    "total-inf": (_toy(pi_total_flops="inf"),
+                  "bad numeric value for pi_total_flops: cannot parse number 'inf'"),
+    "total-overflow": (_toy(pi_total_flops="1e400"),
+                       "MachinePreset.pi_total_flops must be positive and finite, got inf"),
+    "underscore": (_toy(volume="1_000"), "bad numeric value for volume"),
+    "duplicate-key": (_toy("c = 2e6"), ":7: key 'c' given twice"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PRESETS)
+def test_parse_preset_refuses(name):
+    text, message = BAD_PRESETS[name]
+    with pytest.raises(ValueError) as info:
+        parse_preset(text, source="toy.preset")
+    assert str(info.value).startswith("toy.preset") and message in str(info.value)
+
+
+@pytest.mark.parametrize("name", BAD_PRESETS)
+def test_bad_preset_on_path_exit_2(name, tmp_path, monkeypatch):
+    # One bad file on the path stops every command that reads presets.
+    text, message = BAD_PRESETS[name]
+    (tmp_path / "toy.preset").write_text(text)
+    monkeypatch.setenv(PRESET_PATH_ENV, str(tmp_path))
+    result = CliRunner().invoke(main, ["solve", "--machine", "frontier", "--n", "1e9"])
+    assert result.exit_code == 2, result.output
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert len(errors) == 1 and "Traceback" not in result.output
+    assert str(tmp_path / "toy.preset") in errors[0] and message in errors[0]
+
+
+def test_parse_preset_unit_suffixes():
+    p = parse_preset(_toy(pi_total_flops="1102Pflop/s", b_total_bytes="122.3PB/s",
+                          s_total_bytes="3.1TB", volume="370m2", word_bytes="8.0"))
+    assert p.pi_total_flops == pytest.approx(1.102e18)
+    assert p.b_total_bytes == pytest.approx(1.223e17)
+    assert p.s_total_bytes == pytest.approx(3.1e12)
+    assert p.volume == 370.0
+    assert p.word_bytes == 8 and isinstance(p.word_bytes, int)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_parse_quantity_reads_repr_as_float(x):
+    # Preset values once went through float(); every finite repr still reads the same.
+    assert parse_quantity(repr(x)) == float(repr(x))
 
 
 def test_preset_path_env(tmp_path, monkeypatch):
