@@ -12,9 +12,7 @@ Gustafson laws, and ships presets for real machines.
 """
 from .costs import (AlgorithmCost, BUILTIN_COSTS, CostCoefficients, cg_cost,
                     custom_cost, fft_cost, mxm_cost)
-from .machines import (A100_CHIP, ChipSpec, MachinePreset, available_presets,
-                       densities_from_chip, get_preset, parse_preset, preset,
-                       scale_spec)
+from .machines import MachinePreset, available_presets, get_preset, parse_preset, preset
 from .model import (CUBE_ROOT, ComputerSpec, DistanceFn, EvaluationError,
                     OptimizationError, Regime, SQUARE_ROOT, TimeBreakdown,
                     VolumeSolution, classify_regime, optimal_volume,
@@ -32,8 +30,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AlgorithmCost", "BUILTIN_COSTS", "CostCoefficients", "cg_cost",
     "custom_cost", "fft_cost", "mxm_cost",
-    "A100_CHIP", "ChipSpec", "MachinePreset", "available_presets",
-    "densities_from_chip", "get_preset", "parse_preset", "preset", "scale_spec",
+    "MachinePreset", "available_presets", "get_preset", "parse_preset", "preset",
     "CUBE_ROOT", "ComputerSpec", "DistanceFn", "EvaluationError",
     "OptimizationError", "Regime", "SQUARE_ROOT", "TimeBreakdown",
     "VolumeSolution", "classify_regime", "optimal_volume", "time_breakdown",

@@ -20,8 +20,7 @@ import click
 from . import __version__
 from .costs import AlgorithmCost, BUILTIN_COSTS, CostCoefficients, custom_cost
 from .machines import available_presets, get_preset, parse_quantity, preset, read_key_values
-from .model import (ComputerSpec, CUBE_ROOT, DistanceFn, classify_regime, optimal_volume,
-                    time_breakdown)
+from .model import ComputerSpec, DistanceFn, classify_regime, optimal_volume, time_breakdown
 from .scaling import DEFAULT_V0_FACTOR, KPolicy, scaling_curve, speedup_curve
 # benchmarks/tracer.py patches these here by name.
 from .scaling import (generalized_speedup, scaled_problem_size, scaled_speedup,  # noqa: F401
@@ -30,10 +29,6 @@ from .sweep import AxisSpec, DEFAULT_POINT_CAP, SweepGrid, SweepRecord, run_swee
 
 # The sweep CSV columns are SweepRecord's fields; an error text replaces the regime.
 _SWEEP_FIELDS = tuple(field.name for field in dataclasses.fields(SweepRecord))[:-1]
-
-# The idealized medium used when no machine preset is named: unit densities,
-# speed of light, 3D geometry.
-IDEAL_SPEC = ComputerSpec(pi=1.0, beta=1.0, s=1.0, c=3e8, V=1e6, distance=CUBE_ROOT)
 
 # The --alg custom coefficients, read from the config keys cost_<field>.
 _COST_FIELDS = tuple(field.name for field in dataclasses.fields(CostCoefficients))
@@ -141,7 +136,7 @@ def _read_config(ctx: click.Context, param, path: str | None) -> None:
 
 _SPEC_OPTIONS = [
     click.option("--machine", default="ideal", show_default=True,
-                 help="Machine preset name, or 'ideal'."),
+                 help="Machine preset name."),
     click.option("--pi", type=QUANTITY, default=None, help="Override compute density."),
     click.option("--beta", type=QUANTITY, default=None, help="Override bandwidth density."),
     click.option("--s", type=QUANTITY, default=None, help="Override memory density."),
@@ -163,10 +158,7 @@ def _spec_options(command):
                      if x is not None}
 
         def spec_of(machine: str) -> ComputerSpec:
-            if machine == "ideal":
-                spec = IDEAL_SPEC
-            else:
-                spec = _known(preset, machine)
+            spec = _known(preset, machine)
             d = spec.distance
             distance = DistanceFn(
                 d.prefactor if distance_prefactor is None else distance_prefactor,

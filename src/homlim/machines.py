@@ -1,4 +1,4 @@
-"""Registry of real-machine parameterizations for the homogeneous model.
+"""Registry of machine parameterizations for the homogeneous model, the default `ideal` included.
 
 Presets store machine totals (flop/s, byte/s, bytes, m^2) and derive the
 densities on demand. Extra preset directories can be supplied through the
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -18,35 +18,6 @@ from .model import ComputerSpec, DistanceFn, require_positive_finite
 PRESET_PATH_ENV = "HOMLIM_PRESET_PATH"
 PRESET_SUFFIX = ".preset"
 DEFAULT_WORD_BYTES = 8  # IEEE double precision
-
-
-@dataclass(frozen=True)
-class ChipSpec:
-    """Datasheet parameters of a single compute die."""
-
-    peak_flops: float      # flop/s
-    mem_bandwidth: float   # byte/s
-    fast_memory: float     # bytes of on-die fast memory
-    die_area: float        # m^2
-    word_bytes: int = DEFAULT_WORD_BYTES
-
-    def __post_init__(self):
-        require_positive_finite(
-            self, ("peak_flops", "mem_bandwidth", "fast_memory", "die_area", "word_bytes"))
-
-
-# Nvidia A100: 7nm, 826 mm^2 die, ~30 Tflop/s FP64 (tensor), 1550 GB/s HBM,
-# 60 MB of L1+L2.
-A100_CHIP = ChipSpec(peak_flops=30e12, mem_bandwidth=1550e9,
-                     fast_memory=60e6, die_area=826e-6)
-
-
-def densities_from_chip(chip: ChipSpec) -> tuple[float, float, float]:
-    """(pi, beta, s) densities of a medium built from this die."""
-    pi = chip.peak_flops / chip.die_area
-    beta = (chip.mem_bandwidth / chip.word_bytes) / chip.die_area
-    s = (chip.fast_memory / chip.word_bytes) / chip.die_area
-    return pi, beta, s
 
 
 @dataclass(frozen=True)
@@ -180,10 +151,3 @@ def get_preset(name: str) -> MachinePreset:
 def preset(name: str) -> ComputerSpec:
     """ComputerSpec with densities derived from the named preset's totals."""
     return get_preset(name).to_spec()
-
-
-def scale_spec(spec: ComputerSpec, factor: float) -> ComputerSpec:
-    """Scale the three densities uniformly; geometry and signal speed stay."""
-    if not factor > 0:
-        raise ValueError("scale factor must be positive")
-    return replace(spec, pi=spec.pi * factor, beta=spec.beta * factor, s=spec.s * factor)

@@ -69,15 +69,22 @@ def invert_k(policy: KPolicy, cost: AlgorithmCost, target: float) -> float:
     return math.exp(0.5 * (lo + hi))
 
 
+def _check_volumes(spec: ComputerSpec, v0: float, volumes: Sequence[float]) -> None:
+    """Every volume must lie in [v0, V]; checked before any f is evaluated."""
+    for v in volumes:
+        if v < v0:
+            raise ValueError(f"v={v!r} must be >= v0={v0!r}")
+        if not v <= spec.V:
+            raise ValueError(f"active volume v={v!r} outside (0, V={spec.V!r}]")
+
+
 def scaling_curve(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
                   volumes: Sequence[float], k: KPolicy | None = None) -> Iterator[tuple]:
     """(v, n, f(v, n), efficiency) per volume: strong scaling at n = n0 when k is None, else weak.
 
-    Checks every volume against v0, then n0 by evaluating f(v0, n0) once, then inverts K.
+    Checks every volume against [v0, V], then n0 by evaluating f(v0, n0) once, then inverts K.
     """
-    for v in volumes:
-        if v < v0:
-            raise ValueError(f"v={v!r} must be >= v0={v0!r}")
+    _check_volumes(spec, v0, volumes)
     f0 = time_breakdown(spec, cost, n0, v0).total
     for v in volumes:
         n = n0 if k is None else scaled_problem_size(cost, k, n0, v0, v)
@@ -115,11 +122,7 @@ def _speedups(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
     """The breakdown of f(v0, n0) and (v, speedup) per volume; see speedup_curve."""
     if law not in ("amdahl", "gustafson"):
         raise ValueError(f"law={law!r} must be 'amdahl' or 'gustafson'")
-    for v in volumes:
-        if v < v0:
-            raise ValueError(f"v={v!r} must be >= v0={v0!r}")
-        if not v <= spec.V:
-            raise ValueError(f"active volume v={v!r} outside (0, V={spec.V!r}]")
+    _check_volumes(spec, v0, volumes)
     b = time_breakdown(spec, cost, n0, v0)
     t = b.t_lat / b.total  # the sequential fraction at (v0, n0)
     points = []

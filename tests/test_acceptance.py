@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from homlim import (A100_CHIP, ComputerSpec, DistanceFn, cg_cost,
-                    densities_from_chip, fft_cost, generalized_speedup,
+from homlim import (ComputerSpec, DistanceFn, cg_cost, fft_cost, generalized_speedup,
                     invert_k, k_value, KPolicy, mxm_cost, optimal_volume,
                     peak_performance_over_n, preset, scaled_speedup,
                     speedup_limit, strong_efficiency, time_breakdown)
@@ -82,10 +81,10 @@ def test_criterion_3_a100_speedup_ceiling():
 
 def test_criterion_4_a100_density_derivation():
     with criterion(4, "A100 density derivation"):
-        pi, beta, s = densities_from_chip(A100_CHIP)
-        assert pi == pytest.approx(3.6e16, rel=0.02)
-        assert beta == pytest.approx(2.3e14, rel=0.03)
-        assert s == pytest.approx(9.2e9, rel=0.05)
+        spec = preset("a100-homogeneous")
+        assert spec.pi == pytest.approx(3.6e16, rel=0.02)
+        assert spec.beta == pytest.approx(2.3e14, rel=0.03)
+        assert spec.s == pytest.approx(9.2e9, rel=0.05)
 
 
 def test_criterion_5_superlinear_strong_scaling():

@@ -316,7 +316,7 @@ class TestScale:
         cfg.write_text("cost_out_exp = 0.5\n")
         result = runner.invoke(main, ["scale", "--alg", "custom", "--config", str(cfg),
                                       "--mode", "weak", "--n0", "1e300", "--v0", "1",
-                                      "--v", "1,1e20", "--k", "output"])
+                                      "--v", "1,1e5", "--k", "output"])
         assert result.exit_code == 1
         assert "Traceback" not in result.output
 
@@ -335,6 +335,17 @@ class TestScale:
                                       *args])
         _assert_one_error_line(result, 2)
         assert "v=1.0 must be >= v0=10.0" in result.output
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("alg, n0", [("cg", "1e9"), ("mxm", "1e120")],
+                             ids=["cg", "mxm-overflow"])
+    def test_volume_above_V_exit_2(self, runner, mode, alg, n0):
+        # Checked before f(v0, n0), which overflows for MXM at n0 = 1e120 (exit 1), and
+        # before K is inverted, where the weak target is above K(n) for every n (exit 1).
+        result = runner.invoke(main, ["scale", "--machine", "frontier", "--alg", alg,
+                                      "--mode", mode, "--n0", n0, "--k", "n", "--v", "1e300"])
+        _assert_one_error_line(result, 2)
+        assert "active volume v=1e+300 outside (0, V=370.0]" in result.output
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_infinite_n0_exit_2(self, runner, mode):
@@ -588,9 +599,9 @@ class TestMachines:
         result = runner.invoke(main, ["machines", "list"])
         assert result.exit_code == 0
         names = result.output.split()
-        assert set(names) == {"frontier", "fugaku", "dgx-gh200",
+        assert set(names) == {"ideal", "frontier", "fugaku", "dgx-gh200",
                               "a100-homogeneous", "a100-homogeneous-1e9"}
-        assert len(names) == 5
+        assert len(names) == 6
 
     def test_show(self, runner):
         result = runner.invoke(main, ["machines", "show", "fugaku"])

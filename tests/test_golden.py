@@ -15,10 +15,12 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "solve-pinned-json": ["solve", "--machine", "frontier", "--alg", "mxm", "--n", "1e9"],
     "solve-interior-json": ["solve", "--machine", "frontier", "--alg", "cg", "--n", "1e9"],
+    "solve-ideal-table": ["solve", "--alg", "fft", "--n", "1e9", "--format", "table"],
     "solve-custom-table": ["solve", "--config", str(GOLDEN / "custom.cfg"), "--n", "1e6",
                            "--format", "table"],
     "sweep-readme": ["sweep", "--machine", "frontier,fugaku", "--alg", "mxm,cg,fft",
                      "--axis", "n:1e3:1e30:20"],
+    "sweep-ideal": ["sweep", "--alg", "mxm,cg,fft", "--axis", "n:1e3:1e30:20"],
     "sweep-errors": ["sweep", "--machine", "frontier", "--alg", "mxm",
                      "--axis", "n:1e100:1e120:3"],
     "sweep-custom": ["sweep", "--config", str(GOLDEN / "custom.cfg"),

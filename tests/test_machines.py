@@ -1,17 +1,14 @@
-import math
-
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from homlim.cli import main
-from homlim.machines import (A100_CHIP, ChipSpec, DEFAULT_WORD_BYTES,
-                             MachinePreset, PRESET_PATH_ENV, available_presets,
-                             densities_from_chip, get_preset, parse_preset,
-                             parse_quantity, preset, read_key_values, scale_spec)
-from homlim.model import DistanceFn
+from homlim.machines import (DEFAULT_WORD_BYTES, MachinePreset, PRESET_PATH_ENV,
+                             available_presets, get_preset, parse_preset, parse_quantity,
+                             preset, read_key_values)
+from homlim.model import CUBE_ROOT, ComputerSpec, DistanceFn
 
-BUILTIN_NAMES = {"frontier", "fugaku", "dgx-gh200",
+BUILTIN_NAMES = {"ideal", "frontier", "fugaku", "dgx-gh200",
                  "a100-homogeneous", "a100-homogeneous-1e9"}
 
 
@@ -42,11 +39,15 @@ def test_fugaku_and_dgx_totals():
     assert dgx.volume == pytest.approx(6.9)
 
 
+def test_ideal_is_the_unit_medium():
+    assert preset("ideal") == ComputerSpec(1.0, 1.0, 1.0, 3e8, 1e6, CUBE_ROOT)
+
+
 def test_a100_chip_densities():
-    pi, beta, s = densities_from_chip(A100_CHIP)
-    assert pi == pytest.approx(30e12 / 826e-6)
-    assert beta == pytest.approx(1550e9 / 8 / 826e-6)
-    assert s == pytest.approx(60e6 / 8 / 826e-6)
+    spec = preset("a100-homogeneous")
+    assert spec.pi == pytest.approx(30e12 / 826e-6)
+    assert spec.beta == pytest.approx(1550e9 / 8 / 826e-6)
+    assert spec.s == pytest.approx(60e6 / 8 / 826e-6)
 
 
 def test_a100_presets_scale_by_1e9():
@@ -57,13 +58,6 @@ def test_a100_presets_scale_by_1e9():
     assert big.s / base.s == pytest.approx(1e9, rel=1e-9)
     assert big.V == base.V
     assert big.c == base.c
-
-
-def test_chip_validation():
-    with pytest.raises(ValueError):
-        ChipSpec(peak_flops=0, mem_bandwidth=1, fast_memory=1, die_area=1)
-    with pytest.raises(ValueError, match="ChipSpec.die_area must be positive and finite"):
-        ChipSpec(peak_flops=1, mem_bandwidth=1, fast_memory=1, die_area=math.inf)
 
 
 def test_parse_preset_round_trip():
@@ -151,6 +145,18 @@ def test_bad_preset_on_path_exit_2(name, tmp_path, monkeypatch):
     assert str(tmp_path / "toy.preset") in errors[0] and message in errors[0]
 
 
+def test_default_machine_is_read_from_the_registry(tmp_path, monkeypatch):
+    # `ideal` is a preset like any other: a file on the path replaces it, and a bad
+    # file stops a command on the default machine as it stops one on a named machine.
+    monkeypatch.setenv(PRESET_PATH_ENV, str(tmp_path))
+    (tmp_path / "ideal.preset").write_text(_toy(name="ideal"))
+    result = CliRunner().invoke(main, ["solve", "--n", "1e9"])
+    assert result.exit_code == 0 and '"v_star": 2.0' in result.output
+    (tmp_path / "toy.preset").write_text(_toy(volume="0"))
+    result = CliRunner().invoke(main, ["solve", "--n", "1e9"])
+    assert result.exit_code == 2 and str(tmp_path / "toy.preset") in result.output
+
+
 def test_parse_preset_unit_suffixes():
     p = parse_preset(_toy(pi_total_flops="1102Pflop/s", b_total_bytes="122.3PB/s",
                           s_total_bytes="3.1TB", volume="370m2", word_bytes="8.0"))
@@ -186,17 +192,6 @@ def test_preset_path_env(tmp_path, monkeypatch):
 def test_get_preset_unknown():
     with pytest.raises(KeyError, match="available"):
         get_preset("not-a-machine")
-
-
-def test_scale_spec():
-    spec = preset("frontier")
-    scaled = scale_spec(spec, 10.0)
-    assert scaled.pi == pytest.approx(10 * spec.pi)
-    assert scaled.beta == pytest.approx(10 * spec.beta)
-    assert scaled.s == pytest.approx(10 * spec.s)
-    assert scaled.c == spec.c and scaled.V == spec.V
-    with pytest.raises(ValueError):
-        scale_spec(spec, 0.0)
 
 
 def test_preset_validation():

@@ -77,6 +77,12 @@ class TestWeakScaling:
         with pytest.raises(ValueError, match="must be finite and >= 1"):
             weak_efficiency(SPEC, cg_cost(), KPolicy.OUTPUT_SIZE, math.inf, 1.0, 2.0)
 
+    def test_volume_above_V_is_value_error(self):
+        # Checked against [v0, V] before K is inverted: the target K(n0) * 1e300 is
+        # above K(n) for every representable n, which would be an EvaluationError.
+        with pytest.raises(ValueError, match=r"outside \(0, V=10000.0\]"):
+            weak_efficiency(SPEC, cg_cost(), KPolicy.INPUT_N, 1e9, 1.0, 1e300)
+
     def test_scaled_problem_size_grows(self):
         cost = fft_cost()
         n = scaled_problem_size(cost, KPolicy.OUTPUT_SIZE, 1e6, 1.0, 8.0)
