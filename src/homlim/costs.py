@@ -19,6 +19,7 @@ from functools import partial
 from typing import Callable
 
 # Floor on S in the log_S(n) denominator; avoids the log(S) singularity for absurdly small s*v.
+# s*v = 4 is the family's only point where f' (in log v) jumps down; model._certified_end needs it.
 FFT_MIN_FAST_MEMORY = 4.0
 
 

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .costs import AlgorithmCost
-from .optimize import OptResult, grid_refine, minimize_bounded
+from .costs import FFT_MIN_FAST_MEMORY, AlgorithmCost
+from .optimize import (BRENT_ABS_TOL, BRENT_REL_TOL, GOLDEN, OptResult, grid_refine,
+                       minimize_bounded)
 
 # Smallest active volume considered, as a fraction of V (the feasible set is
 # an open interval at zero).
@@ -180,13 +181,44 @@ class VolumeSolution:
     opt: OptResult
 
 
+def _certified_end(objective, lo: float, hi: float, x_kink: float) -> OptResult | None:
+    """V or the floor, as Brent plus its end checks return them, when f falls toward V.
+
+    f is convex in x = log v on each side of the FFT kink x_kink, where f' jumps down. If f
+    falls over the last step before V, and before the kink when it is in (x1, V), f falls from
+    Brent's first point x1 to V and Brent ends beside V. That assumes Brent evaluates no point
+    within its tol1 of V (tests/test_optimize.py pins it); step is half that. None (run Brent)
+    if a probe past x1 raises, a check fails, or the kink is within a step of x1 or V.
+    """
+    x1 = lo + GOLDEN * (hi - lo)
+    objective(x1)  # unguarded: a failing solve fails where Brent's would
+    step = 0.5 * (BRENT_REL_TOL * abs(hi) + BRENT_ABS_TOL)
+    try:
+        f_hi = objective(hi)
+        if not objective(hi - step) > f_hi:  # strict: on a flat f Brent keeps an interior point
+            return None
+        if min(abs(x_kink - x1), abs(x_kink - hi)) < step or (
+                x1 < x_kink < hi and objective(x_kink - step) < objective(x_kink)):
+            return None
+    except ArithmeticError:
+        return None
+    try:
+        f_lo = objective(lo)
+    except ArithmeticError:
+        f_lo = math.inf
+    x, fx = (lo, f_lo) if f_lo <= f_hi else (hi, f_hi)
+    return OptResult(x_star=x, f_star=fx, iterations=0, converged=True, method="brent")
+
+
 def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeSolution:
     """Minimize total time over the active volume, searching in log(v).
 
-    Brent's method plus the two bracket ends runs for every cost; grid refinement runs
-    only when Brent does not converge. f is built once per solve, so W(n) is evaluated
-    once: the breakdown at v* comes from the same W and terms the search used. A bad n
-    is a ValueError; an EvaluationError becomes the cause of an OptimizationError.
+    A convexity certificate of at most six probes first settles the solves where f falls
+    toward V, returning what Brent would; every other solve, and every one that fails,
+    runs Brent's method plus the two bracket ends, and grid refinement only when Brent
+    does not converge. f is built once per solve, so W(n) is evaluated once: the
+    breakdown at v* comes from the same W and terms the search used. A bad n is a
+    ValueError; an EvaluationError becomes the cause of an OptimizationError.
     """
     W, terms = _f_terms(spec, cost, n)
     lo = math.log(spec.V) + math.log(V_FLOOR_FACTOR)
@@ -202,8 +234,9 @@ def optimal_volume(spec: ComputerSpec, cost: AlgorithmCost, n: float) -> VolumeS
         return terms(volume(x))[3]
 
     try:
-        # Every CostCoefficients term is convex in log v: Brent plus the ends finds the minimum.
-        result = minimize_bounded(objective, lo, hi)
+        # f is convex in log v on each side of s*v = 4, a kink only for rows with m > 0.
+        x_kink = math.log(FFT_MIN_FAST_MEMORY) - math.log(spec.s)  # never overflows
+        result = _certified_end(objective, lo, hi, x_kink) or minimize_bounded(objective, lo, hi)
         if not result.converged:
             result = grid_refine(objective, lo, hi)
     except EvaluationError as exc:

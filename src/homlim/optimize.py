@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 GOLDEN = 0.3819660112501051  # 2 - golden ratio; worst-case shrink per step
+BRENT_REL_TOL, BRENT_ABS_TOL = 1e-9, 1e-12  # minimize_bounded's defaults; model's certificate too
 
 
 class NonFiniteObjectiveError(ValueError):
@@ -45,9 +46,9 @@ def minimize_bounded(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    rel_tol: float = 1e-9,
+    rel_tol: float = BRENT_REL_TOL,
     max_iter: int = 200,
-    abs_tol: float = 1e-12,
+    abs_tol: float = BRENT_ABS_TOL,
 ) -> OptResult:
     """Minimize f on [lo, hi]: the best of Brent's point and both bracket ends.
 

@@ -16,6 +16,9 @@ CASES = {
     "solve-pinned-json": ["solve", "--machine", "frontier", "--alg", "mxm", "--n", "1e9"],
     "solve-interior-json": ["solve", "--machine", "frontier", "--alg", "cg", "--n", "1e9"],
     "solve-ideal-table": ["solve", "--alg", "fft", "--n", "1e9", "--format", "table"],
+    # 4/s overflows to inf, and 4/s = 4e-300: the FFT kink lies far outside [1e-30*V, V].
+    "solve-fft-s-subnormal": ["solve", "--alg", "fft", "--n", "1e9", "--s", "5e-324"],
+    "solve-fft-s-huge": ["solve", "--alg", "fft", "--n", "1e9", "--s", "1e300"],
     "solve-custom-table": ["solve", "--config", str(GOLDEN / "custom.cfg"), "--n", "1e6",
                            "--format", "table"],
     "sweep-readme": ["sweep", "--machine", "frontier,fugaku", "--alg", "mxm,cg,fft",

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import re
+from unittest import mock
 
 import pytest
 
+import homlim.model
 from homlim.costs import AlgorithmCost, CostCoefficients, cg_cost, custom_cost, mxm_cost
 from homlim.model import (CUBE_ROOT, ComputerSpec, DistanceFn, EvaluationError,
                           OptimizationError, Regime, SQUARE_ROOT, classify_regime,
@@ -140,6 +143,34 @@ def test_solution_breakdown_is_time_breakdown_at_v_star(cost):
     spec = preset("frontier")
     sol = optimal_volume(spec, cost, 1e9)
     assert sol.breakdown == time_breakdown(spec, cost, 1e9, sol.v_star)
+
+
+def io_calls(spec, cost, n, certify=True):
+    """Calls to cost.io during one solve, the closing breakdown included; with
+    certify=False the convexity certificate is off and Brent runs alone."""
+    calls = []
+    counted = dataclasses.replace(cost, io=lambda n, S: calls.append(S) or cost.io(n, S))
+    with mock.patch.object(homlim.model, "_certified_end",
+                           homlim.model._certified_end if certify else lambda *args: None):
+        optimal_volume(spec, counted, n)
+    return len(calls)
+
+
+def test_pinned_solve_is_certified_in_a_few_evaluations():
+    # CG at n = 1e20 on Frontier: v* = V, and the FFT kink lies inside the bracket, so the
+    # certificate probes x1, V, V - step, both sides of the kink and the floor, plus the
+    # closing breakdown: 7 calls, where Brent alone makes more than 50.
+    spec, n = preset("frontier"), 1e20
+    assert optimal_volume(spec, cg_cost(), n).v_star == spec.V
+    assert io_calls(spec, cg_cost(), n) <= 7
+    assert io_calls(spec, cg_cost(), n, certify=False) > 50
+
+
+def test_interior_solve_pays_at_most_three_probes():
+    # CG at n = 1e9 on Frontier is interior: the certificate fails at V after three probes.
+    spec, n = preset("frontier"), 1e9
+    assert optimal_volume(spec, cg_cost(), n).v_star < spec.V
+    assert io_calls(spec, cg_cost(), n) <= io_calls(spec, cg_cost(), n, certify=False) + 3
 
 
 def test_cost_overflow_raises_evaluation_error():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from homlim.optimize import (NonFiniteObjectiveError, grid_refine,
-                             minimize_bounded)
+from homlim.optimize import (BRENT_ABS_TOL, BRENT_REL_TOL, NonFiniteObjectiveError,
+                             grid_refine, minimize_bounded)
 
 
 def test_quadratic_minimum():
@@ -70,6 +70,25 @@ def test_non_finite_objective_raises():
         minimize_bounded(lambda x: math.nan, 0.0, 1.0)
     assert not math.isnan(info.value.x) or True  # carries the offending x
     assert hasattr(info.value, "x")
+
+
+def test_brent_loop_keeps_a_tol1_away_from_the_upper_end():
+    # model's convexity certificate probes half a tol1 below hi and relies on Brent's
+    # loop never evaluating closer than that; only the end check lands on hi itself.
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        hi = float(rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-3, 2.85))
+        lo = hi + math.log(1e-30)  # optimal_volume's bracket in log v
+        c = 10.0 ** rng.uniform(-3, 3)
+        x0 = hi + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-14, 2)
+        f = [lambda x: -x, lambda x: math.exp(min(c * (hi - x), 700.0)), lambda x: 7.0,
+             lambda x: 7.0 + c * (hi - x), lambda x: (x - x0) ** 2,
+             lambda x: c * abs(x - x0) + (x - hi) ** 2][rng.integers(6)]
+        seen = []
+        minimize_bounded(lambda x: seen.append(x) or f(x), lo, hi)
+        assert seen[-2:] == [lo, hi]  # the end checks
+        tol1 = BRENT_REL_TOL * abs(hi) + BRENT_ABS_TOL
+        assert min(hi - u for u in seen[:-2]) >= 0.99 * tol1
 
 
 def test_max_iter_exhaustion_flagged():
