@@ -19,7 +19,8 @@ import click
 
 from . import __version__
 from .costs import AlgorithmCost, BUILTIN_COSTS, CostCoefficients, custom_cost
-from .machines import available_presets, get_preset, parse_quantity, preset, read_key_values
+from .machines import available_presets, get_preset, parse_quantity, read_key_values
+from .machines import preset  # noqa: F401  (benchmarks/tracer.py patches it here)
 from .model import ComputerSpec, DistanceFn, classify_regime, optimal_volume, time_breakdown
 from .scaling import DEFAULT_V0_FACTOR, KPolicy, scaling_curve, speedup_curve
 # benchmarks/tracer.py patches these here by name.
@@ -49,10 +50,10 @@ class Quantity(click.ParamType):
 QUANTITY = Quantity()
 
 
-def _known(lookup, name: str):
-    """lookup(name), with an unknown preset name reported as a usage error."""
+def _known(name: str, presets: dict | None = None):
+    """get_preset(name, presets), with an unknown name reported as a usage error."""
     try:
-        return lookup(name)
+        return get_preset(name, presets)
     except KeyError as exc:
         raise click.UsageError(exc.args[0]) from None
 
@@ -151,14 +152,17 @@ _SPEC_OPTIONS = [
 
 
 def _spec_options(command):
-    """Add the shared machine options; the command gets spec_of(machine) and cost_of(alg)."""
+    """Add the shared machine options; the command gets spec_of(machine) and cost_of(alg).
+
+    The preset registry is read once per command, when spec_of first needs it."""
     @functools.wraps(command)
     def resolved(pi, beta, s, c, V, distance_exponent, distance_prefactor, **kwargs):
         densities = {k: x for k, x in dict(pi=pi, beta=beta, s=s, c=c, V=V).items()
                      if x is not None}
+        registry = functools.cache(available_presets)
 
         def spec_of(machine: str) -> ComputerSpec:
-            spec = _known(preset, machine)
+            spec = _known(machine, registry()).to_spec()
             d = spec.distance
             distance = DistanceFn(
                 d.prefactor if distance_prefactor is None else distance_prefactor,
@@ -335,7 +339,7 @@ def machines_list():
 @click.argument("name")
 def machines_show(name):
     """Print totals, derived densities, and notes for one preset."""
-    p = _known(get_preset, name)
+    p = _known(name)
     spec = p.to_spec()
     rows = [
         ("name", p.name),

@@ -140,8 +140,10 @@ def available_presets() -> dict[str, MachinePreset]:
     return presets
 
 
-def get_preset(name: str) -> MachinePreset:
-    presets = available_presets()
+def get_preset(name: str, presets: dict[str, MachinePreset] | None = None) -> MachinePreset:
+    """The named preset from `presets`; the registry is read when none are given."""
+    if presets is None:
+        presets = available_presets()
     if name not in presets:
         known = ", ".join(sorted(presets))
         raise KeyError(f"unknown machine preset {name!r}; available: {known}")

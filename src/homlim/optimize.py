@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 GOLDEN = 0.3819660112501051  # 2 - golden ratio; worst-case shrink per step
 BRENT_REL_TOL, BRENT_ABS_TOL = 1e-9, 1e-12  # minimize_bounded's defaults; model's certificate too
 
@@ -154,6 +152,7 @@ def grid_refine(
         raise ValueError("rounds must be >= 1")
     if not lo < hi:
         raise ValueError(f"invalid bracket: lo={lo!r} must be < hi={hi!r}")
+    import numpy as np  # on first use, so importing homlim does not load numpy
 
     best_x = lo
     best_f = math.inf

@@ -4,12 +4,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .costs import AlgorithmCost
 from .model import ComputerSpec, classify_regime, optimal_volume, time_breakdown
+
+if TYPE_CHECKING:
+    import numpy as np
 
 AXIS_PARAMETERS = ("pi", "beta", "s", "c", "V", "n", "v")
 _SPEC_PARAMETERS = AXIS_PARAMETERS[:5]  # the ComputerSpec fields; n and v are the point's
@@ -61,6 +62,8 @@ class AxisSpec:
         return cls(name, lo, hi, 20, "log")
 
     def values(self) -> np.ndarray:
+        import numpy as np  # on first use, so importing homlim does not load numpy
+
         if self.explicit is not None:
             return np.asarray(self.explicit, dtype=float)
         if self.spacing == "log":

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import homlim.cli
+import homlim.machines
 import homlim.model
 import homlim.scaling
 from homlim.cli import main, parse_quantity
@@ -451,6 +453,26 @@ def test_f_builds_per_command(runner, monkeypatch, args, f_builds, inversions):
     result = runner.invoke(main, [args[0], "--machine", "frontier", *args[1:]])
     assert result.exit_code == 0, result.output
     assert counts == {"f": f_builds, "invert_k": inversions}
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--machine", "frontier", "--n", "1e9"],
+    ["sweep", "--machine", "frontier,fugaku", "--axis", "n:1e3:1e30:4"],
+], ids=["solve", "sweep-two-machines"])
+def test_preset_registry_read_once_per_command(runner, monkeypatch, args):
+    # Every machine of a command is looked up in one reading of the preset files.
+    calls = []
+    read = homlim.machines.available_presets
+
+    def counted():
+        calls.append(1)
+        return read()
+
+    for module in (homlim.machines, homlim.cli):
+        monkeypatch.setattr(module, "available_presets", counted)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 class TestConfig:
