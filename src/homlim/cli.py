@@ -110,12 +110,12 @@ def _volumes(text: str | None, v0: float | None, V: float, points: int):
     if v0 is None:
         v0 = V * DEFAULT_V0_FACTOR
     if text is None:
-        return v0, AxisSpec("v", v0, V, points, "log").values().tolist()
+        return v0, AxisSpec("v", v0, V, points, "log").values()
     if ":" in text:
         axis = _parse_axis("v:" + text)
         if axis.points > DEFAULT_POINT_CAP:
             raise click.UsageError(f"--v has {axis.points} points; the cap is {DEFAULT_POINT_CAP}")
-        return v0, axis.values().tolist()
+        return v0, axis.values()
     return v0, _parse_values(text)
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .costs import FFT_MIN_FAST_MEMORY, AlgorithmCost
+from .costs import FFT_MIN_FAST_MEMORY, AlgorithmCost, _powprod
 from .optimize import (BRENT_ABS_TOL, BRENT_REL_TOL, GOLDEN, OptResult, grid_refine,
                        minimize_bounded)
 
@@ -50,9 +50,10 @@ class DistanceFn:
         require_positive_finite(self, ("prefactor", "exponent"))
 
     def __call__(self, v: float) -> float:
-        if v == 0.0:
-            return 0.0
-        return self.prefactor * v**self.exponent
+        try:
+            return self.prefactor * v**self.exponent
+        except OverflowError:  # v**exponent alone may overflow where the product fits
+            return _powprod(self.prefactor, (v, self.exponent))
 
 
 CUBE_ROOT = DistanceFn(1.0, 1.0 / 3.0)   # 3D medium
@@ -103,14 +104,18 @@ class TimeBreakdown:
 
 def _ratio(num: float, d1: float, d2: float) -> float:
     # num / (d1*d2) with a log-domain fallback so intermediates never
-    # overflow when the result itself is representable.
+    # overflow when the result itself is representable; inf when it is not
+    # (a volume that underflowed to 0.0 included).
     if num == 0.0:
         return 0.0
-    out = num / d1 / d2
+    try:
+        out = num / d1 / d2
+    except ZeroDivisionError:
+        return math.inf
     if math.isfinite(out):
         return out
     try:
-        return math.exp(math.log(num) - math.log(d1) - math.log(d2))
+        return _powprod(num, (d1, -1.0), (d2, -1.0))
     except OverflowError:
         return math.inf
 

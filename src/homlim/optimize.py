@@ -10,7 +10,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 GOLDEN = 0.3819660112501051  # 2 - golden ratio; worst-case shrink per step
-BRENT_REL_TOL, BRENT_ABS_TOL = 1e-9, 1e-12  # minimize_bounded's defaults; model's certificate too
+BRENT_REL_TOL, BRENT_ABS_TOL = 1e-9, 1e-12  # minimize_bounded's tolerances; model's certificate too
+BRENT_MAX_ITER = 200
+GRID_POINTS, GRID_ROUNDS = 256, 3  # grid_refine's samples per round and rounds
 
 
 class NonFiniteObjectiveError(ValueError):
@@ -40,26 +42,18 @@ def _checked(f: Callable[[float], float], x: float) -> float:
     return fx
 
 
-def minimize_bounded(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = BRENT_REL_TOL,
-    max_iter: int = 200,
-    abs_tol: float = BRENT_ABS_TOL,
-) -> OptResult:
+def minimize_bounded(f: Callable[[float], float], lo: float, hi: float) -> OptResult:
     """Minimize f on [lo, hi]: the best of Brent's point and both bracket ends.
 
     Brent stops one tolerance short of a bound, so the ends are tried too; an
     end where f raises ArithmeticError or is not finite is skipped.
-    ``converged`` is False when max_iter ran out before the bracket shrank.
+    ``converged`` is False when BRENT_MAX_ITER ran out before the bracket shrank.
     """
     if not lo < hi:
         raise ValueError(f"invalid bracket: lo={lo!r} must be < hi={hi!r}")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
 
     isfinite = math.isfinite
+    rel_tol, abs_tol, max_iter = BRENT_REL_TOL, BRENT_ABS_TOL, BRENT_MAX_ITER
     a, b = lo, hi
     x = a + GOLDEN * (b - a)
     fx = _checked(f, x)
@@ -133,32 +127,23 @@ def minimize_bounded(
     return OptResult(x_star=x, f_star=fx, iterations=it, converged=converged, method="brent")
 
 
-def grid_refine(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    points: int = 256,
-    rounds: int = 3,
-) -> OptResult:
+def grid_refine(f: Callable[[float], float], lo: float, hi: float) -> OptResult:
     """Repeated grid search, recursing on the bracket around the best sample.
 
     Robust against multimodal objectives; the result is never worse than the
     best grid sample seen. The grid is linear in x, so callers that search in
     log coordinates pass log bounds.
     """
-    if points < 8:
-        raise ValueError("points must be >= 8")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if not lo < hi:
         raise ValueError(f"invalid bracket: lo={lo!r} must be < hi={hi!r}")
     import numpy as np  # on first use, so importing homlim does not load numpy
 
+    points = GRID_POINTS
     best_x = lo
     best_f = math.inf
     evals = 0
     a, b = lo, hi
-    for _ in range(rounds):
+    for _ in range(GRID_ROUNDS):
         grid = np.linspace(a, b, points)
         vals = [_checked(f, float(x)) for x in grid]
         evals += points

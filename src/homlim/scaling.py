@@ -111,12 +111,6 @@ def scaled_problem_size(cost: AlgorithmCost, k: KPolicy, n0: float,
     return invert_k(k, cost, k_value(k, cost, n0) * v / v0)
 
 
-def parallel_fraction(spec: ComputerSpec, cost: AlgorithmCost, n: float, v: float) -> float:
-    """Fraction of the run time spent in work and I/O; the latency part is sequential."""
-    b = time_breakdown(spec, cost, n, v)
-    return (b.t_work + b.t_io) / b.total
-
-
 def _speedups(spec: ComputerSpec, cost: AlgorithmCost, n0: float, v0: float,
               volumes: Sequence[float], law: str):
     """The breakdown of f(v0, n0) and (v, speedup) per volume; see speedup_curve."""

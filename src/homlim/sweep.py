@@ -4,13 +4,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
 
 from .costs import AlgorithmCost
 from .model import ComputerSpec, classify_regime, optimal_volume, time_breakdown
-
-if TYPE_CHECKING:
-    import numpy as np
 
 AXIS_PARAMETERS = ("pi", "beta", "s", "c", "V", "n", "v")
 _SPEC_PARAMETERS = AXIS_PARAMETERS[:5]  # the ComputerSpec fields; n and v are the point's
@@ -61,16 +57,16 @@ class AxisSpec:
         lo, hi = DEFAULT_RANGES.get(name, (1.0, 2.0))  # __post_init__ refuses an unknown name
         return cls(name, lo, hi, 20, "log")
 
-    def values(self) -> np.ndarray:
+    def values(self) -> list[float]:
+        if self.explicit is not None:
+            return [float(x) for x in self.explicit]
         import numpy as np  # on first use, so importing homlim does not load numpy
 
-        if self.explicit is not None:
-            return np.asarray(self.explicit, dtype=float)
         if self.spacing == "log":
-            values = np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
-            values[[0, -1]] = self.lo, self.hi  # logspace can miss its ends by an ulp
+            values = np.logspace(math.log10(self.lo), math.log10(self.hi), self.points).tolist()
+            values[0], values[-1] = self.lo, self.hi  # logspace can miss its ends by an ulp
             return values
-        return np.linspace(self.lo, self.hi, self.points)
+        return np.linspace(self.lo, self.hi, self.points).tolist()
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,6 @@ class SweepGrid:
 
     axes: tuple[AxisSpec, ...] = ()
     fixed: dict[str, float] = field(default_factory=dict)
-    cap: int = DEFAULT_POINT_CAP
 
     def __post_init__(self):
         if len(self.axes) > 3:
@@ -149,31 +144,18 @@ def run_sweep(grid: SweepGrid, spec_template: ComputerSpec,
     which case the evaluation is at the given volume. Per-point failures are
     recorded in-line with an error marker.
     """
-    if grid.size() > grid.cap:
-        raise ValueError(f"sweep size {grid.size()} exceeds cap {grid.cap}")
+    if grid.size() > DEFAULT_POINT_CAP:
+        raise ValueError(f"sweep size {grid.size()} exceeds cap {DEFAULT_POINT_CAP}")
     names = [a.name for a in grid.axes]
     return [_point_record(spec_template, cost, {**grid.fixed, **dict(zip(names, combo))})
             for combo in product(*(a.values() for a in grid.axes))]
 
 
-def peak_performance_over_n(spec: ComputerSpec, cost: AlgorithmCost,
-                            n_lo: float = 1e3, n_hi: float = 1e30,
-                            points: int = 20) -> tuple[float, float]:
-    """Sweep n log-spaced, optimizing v at each n; return (n_peak, perf_peak)."""
-    best_n, best_perf = n_lo, -math.inf
-    for n in AxisSpec("n", n_lo, n_hi, points).values():
-        sol = optimal_volume(spec, cost, float(n))
+def peak_performance_over_n(spec: ComputerSpec, cost: AlgorithmCost) -> tuple[float, float]:
+    """Optimize v at each n of AxisSpec.default("n"); return (n_peak, perf_peak)."""
+    best_n, best_perf = DEFAULT_RANGES["n"][0], -math.inf
+    for n in AxisSpec.default("n").values():
+        sol = optimal_volume(spec, cost, n)
         if sol.breakdown.performance > best_perf:
-            best_n, best_perf = float(n), sol.breakdown.performance
+            best_n, best_perf = n, sol.breakdown.performance
     return best_n, best_perf
-
-
-def saturation_point(records: Sequence[SweepRecord],
-                     rel_improvement: float = 0.01) -> int | None:
-    """First index along a single-axis sweep where one more grid step improves
-    total time by less than rel_improvement; None when it never saturates."""
-    totals = [r.total for r in records]
-    for i in range(len(totals) - 1):
-        if totals[i] - totals[i + 1] < rel_improvement * totals[i]:
-            return i
-    return None

@@ -126,6 +126,26 @@ class TestSolve:
         assert "cost overflowed a double" in result.output
         assert len(result.output.strip().splitlines()) == 1
 
+    def test_underflowed_volume_exit_1(self, runner):
+        # Below V ~ 2.5e-294 the floor 1e-30*V is 0.0, so W/(pi*v) has no finite value.
+        result = runner.invoke(main, ["solve", "--v-total", "1e-310", "--n", "1e6"])
+        _assert_one_error_line(result, 1)
+        assert result.output == ("Error: volume minimization failed: t_work=inf is not "
+                                 "representable (n=1000000.0, v=0.0)\n")
+
+    def test_distance_fitting_a_double_though_v_to_the_exponent_does_not(self, runner):
+        # v**2 = 1e400 overflows, but D = 1e-300 * (2e200)**2 = 4e100 fits a double.
+        args = ["solve", "--v-total", "1e200", "--distance-exponent", "2",
+                "--distance-prefactor", "1e-300", "--n", "1e6", "--format", "json"]
+        fixed = runner.invoke(main, args + ["--v", "1e200"])
+        assert fixed.exit_code == 0, fixed.output
+        assert json.loads(fixed.output)["t_lat"] == pytest.approx(1.33333333e92, rel=1e-8)
+        solved = runner.invoke(main, args)
+        assert solved.exit_code == 0, solved.output
+        data = json.loads(solved.output)
+        assert data["v_star"] == pytest.approx(1e170, rel=1e-12)  # the floor 1e-30*V
+        assert data["total"] == pytest.approx(1.33333333e32, rel=1e-8)
+
     @pytest.mark.parametrize("config", [
         "cost_a = 1e400\n",
         "cost_a = 1\ncost_p = 1\ncost_q = 1\ncost_r = -1e400\n",
@@ -203,6 +223,14 @@ class TestSweep:
         assert all(row[-1].startswith("error:") and "cost overflowed a double" in row[-1]
                    for row in rows[:2])
         assert not rows[2][-1].startswith("error:")
+
+    def test_underflowed_volume_gives_error_row(self, runner):
+        result = runner.invoke(main, ["sweep", "--v-total", "1e-310", "--n", "1e6"])
+        assert result.exit_code == 0
+        rows = _csv_rows(result.output)[1:]
+        assert len(rows) == 1
+        assert rows[0][-1] == ("error:volume minimization failed: t_work=inf is not "
+                               "representable (n=1000000.0, v=0.0)")
 
     def test_volume_axis_ends_on_v(self, runner):
         result = runner.invoke(main, ["sweep", "--machine", "fugaku", "--n", "1e9",

@@ -1,6 +1,5 @@
 """Property: whatever text a numeric option gets, the CLI exits 0, 1 or 2 and
 never lets a Python exception escape; laws prints only finite numbers when it exits 0."""
-import functools
 import math
 import re
 from unittest import mock
@@ -10,8 +9,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import homlim.cli
+import homlim.sweep
 from homlim.cli import main
-from homlim.sweep import SweepGrid
 
 # Digits, number punctuation, the list and range separators, and the letters of
 # the unit suffixes.
@@ -54,7 +53,7 @@ def _numbers(output: str) -> list[float]:
 def test_exit_code_contract(command, text):
     # A small sweep cap keeps each example fast; a grid above it takes the same
     # exit-2 path as one above the default cap.
-    with mock.patch.object(homlim.cli, "SweepGrid", functools.partial(SweepGrid, cap=64)):
+    with mock.patch.object(homlim.sweep, "DEFAULT_POINT_CAP", 64):
         result = CliRunner().invoke(main, COMMANDS[command](text))
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), (

@@ -26,6 +26,10 @@ def test_distance_fn():
     assert CUBE_ROOT(8.0) == pytest.approx(2.0)
     assert SQUARE_ROOT(9.0) == pytest.approx(3.0)
     assert CUBE_ROOT(0.0) == 0.0
+    # v**exponent overflows a double, the distance does not.
+    assert DistanceFn(1e-300, 2.0)(2e200) == pytest.approx(4e100, rel=1e-12)
+    with pytest.raises(OverflowError):
+        DistanceFn(1e-10, 2.0)(1e200)
     with pytest.raises(ValueError):
         DistanceFn(prefactor=-1.0)
     with pytest.raises(ValueError):

@@ -13,12 +13,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import homlim.model
 from homlim.costs import BUILTIN_COSTS, CostCoefficients, custom_cost, fft_cost
 from homlim.machines import preset
-from homlim.model import (CUBE_ROOT, SQUARE_ROOT, V_FLOOR_FACTOR, ComputerSpec,
+from homlim.model import (CUBE_ROOT, SQUARE_ROOT, V_FLOOR_FACTOR, ComputerSpec, DistanceFn,
                           EvaluationError, OptimizationError, optimal_volume,
                           time_breakdown)
 
@@ -74,6 +74,28 @@ def test_objective_equals_time_breakdown_exactly(spec, cost, n):
         assume(False)
     assert sol.opt.f_star == time_breakdown(spec, cost, n, sol.v_star).total
     assert sol.breakdown.total == sol.opt.f_star
+
+
+# Every positive double from the smallest subnormal to near the largest.
+any_positive = log_uniform(-323.3, 308.2).map(lambda x: max(x, 5e-324))
+any_specs = st.builds(ComputerSpec, pi=any_positive, beta=any_positive, s=any_positive,
+                      c=any_positive, V=any_positive,
+                      distance=st.builds(DistanceFn, prefactor=any_positive,
+                                         exponent=log_uniform(-3, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=any_specs, cost=st.sampled_from(sorted(BUILTIN_COSTS)).map(
+    lambda name: BUILTIN_COSTS[name]()), n=log_uniform(0, 300))
+@example(spec=dataclasses.replace(preset("ideal"), V=1e-310), cost=BUILTIN_COSTS["cg"](),
+         n=1e6).via("a probed volume that underflows to 0.0")
+def test_solve_gives_finite_total_or_optimization_error(spec, cost, n):
+    # Below V ~ 1e-305 Brent's first volume is 0.0; W/(pi*v) once raised ZeroDivisionError.
+    try:
+        sol = optimal_volume(spec, cost, n)
+    except OptimizationError:
+        return
+    assert math.isfinite(sol.breakdown.total)
 
 
 def test_log_domain_ratio_through_optimal_volume():

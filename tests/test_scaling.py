@@ -6,9 +6,9 @@ import pytest
 from homlim.costs import CostCoefficients, cg_cost, custom_cost, fft_cost, mxm_cost
 from homlim.machines import preset
 from homlim.model import ComputerSpec, EvaluationError, time_breakdown
-from homlim.scaling import (KPolicy, generalized_speedup, invert_k, k_value, parallel_fraction,
-                            scaled_problem_size, scaled_speedup, speedup_curve, speedup_limit,
-                            strong_efficiency, weak_efficiency)
+from homlim.scaling import (KPolicy, generalized_speedup, invert_k, k_value, scaled_problem_size,
+                            scaled_speedup, speedup_curve, speedup_limit, strong_efficiency,
+                            weak_efficiency)
 
 SPEC = ComputerSpec(pi=1e15, beta=1e13, s=1e9, c=3e8, V=1e4)
 
@@ -160,14 +160,6 @@ class TestLaws:
         with pytest.raises(EvaluationError, match="speedup limit T/T_L .* overflows a double"):
             speedup_limit(spec, cg_cost(), 1e3, 1e-300)
         assert speedup_limit(spec, cg_cost(), 1e3, 1e-200) == pytest.approx(1.2383e296, rel=1e-4)
-
-
-def test_parallel_fraction_complements_latency():
-    cost = fft_cost()
-    b = time_breakdown(SPEC, cost, 1e9, 10.0)
-    frac = parallel_fraction(SPEC, cost, 1e9, 10.0)
-    assert frac == pytest.approx(1.0 - b.t_lat / b.total, rel=1e-12)
-    assert 0.0 <= frac <= 1.0
 
 
 def test_superlinear_efficiency_possible():

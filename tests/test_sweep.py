@@ -6,8 +6,8 @@ import pytest
 from homlim.costs import cg_cost, mxm_cost
 from homlim.machines import preset
 from homlim.model import ComputerSpec, classify_regime, optimal_volume
-from homlim.sweep import (AxisSpec, SweepGrid, peak_performance_over_n,
-                          run_sweep, saturation_point)
+import homlim.sweep
+from homlim.sweep import AxisSpec, SweepGrid, peak_performance_over_n, run_sweep
 
 SPEC = ComputerSpec(pi=1e15, beta=1e13, s=1e9, c=3e8, V=1e4)
 
@@ -30,6 +30,15 @@ class TestAxisSpec:
     def test_explicit_values(self):
         ax = AxisSpec("n", explicit=(3.0, 1.0, 2.0))
         assert list(ax.values()) == [3.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("axis", [AxisSpec("pi", 1.0, 1e4, 5, "log"),
+                                      AxisSpec("n", 0.0, 10.0, 11, "linear"),
+                                      AxisSpec("n", explicit=(3, 1.0))],
+                             ids=["log", "linear", "explicit"])
+    def test_values_are_a_list_of_python_floats(self, axis):
+        values = axis.values()
+        assert type(values) is list
+        assert all(type(x) is float for x in values)
 
     @pytest.mark.parametrize("name", ["v", "c"])
     def test_default_needs_a_default_range(self, name):
@@ -83,8 +92,9 @@ class TestSweepGrid:
         grid = SweepGrid(axes=(AxisSpec("pi", 1, 10, 4), AxisSpec("n", 1e3, 1e6, 5)))
         assert grid.size() == 20
 
-    def test_cap_checked_before_evaluation(self):
-        grid = SweepGrid(axes=(AxisSpec("n", 1e3, 1e6, 100),), cap=10)
+    def test_cap_checked_before_evaluation(self, monkeypatch):
+        monkeypatch.setattr(homlim.sweep, "DEFAULT_POINT_CAP", 10)
+        grid = SweepGrid(axes=(AxisSpec("n", 1e3, 1e6, 100),))
         with pytest.raises(ValueError, match="cap"):
             run_sweep(grid, SPEC, cg_cost())
 
@@ -173,10 +183,3 @@ def test_peak_performance_over_n_frontier_mxm():
     assert perf <= 1.102e18 * (1 + 1e-9)
     assert perf > 1e18  # large MxM runs the machine near peak
     assert 1e3 <= n_peak <= 1e30
-
-
-def test_saturation_point():
-    mk = lambda t: type("R", (), {"total": t})()
-    records = [mk(100.0), mk(50.0), mk(25.0), mk(24.9), mk(24.8)]
-    assert saturation_point(records, rel_improvement=0.01) == 2
-    assert saturation_point(records[:3], rel_improvement=0.01) is None
