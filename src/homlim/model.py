@@ -41,19 +41,13 @@ def require_positive_finite(obj, names) -> None:
 
 @dataclass(frozen=True)
 class DistanceFn:
-    """Farthest signal-travel distance within an active volume: prefactor * v**exponent."""
+    """Farthest signal-travel distance across a wavefront volume L: prefactor * L**exponent."""
 
     prefactor: float = 1.0
     exponent: float = 1.0 / 3.0
 
     def __post_init__(self):
         require_positive_finite(self, ("prefactor", "exponent"))
-
-    def __call__(self, v: float) -> float:
-        try:
-            return self.prefactor * v**self.exponent
-        except OverflowError:  # v**exponent alone may overflow where the product fits
-            return _powprod(self.prefactor, (v, self.exponent))
 
 
 CUBE_ROOT = DistanceFn(1.0, 1.0 / 3.0)   # 3D medium
@@ -128,8 +122,9 @@ def _f_terms(spec: ComputerSpec, cost: AlgorithmCost, n: float):
     """
     if not 1.0 <= n < math.inf:
         raise ValueError(f"problem size n={n!r} must be finite and >= 1")
-    io, wavefront, distance = cost.io, cost.wavefront, spec.distance
+    io, wavefront = cost.io, cost.wavefront
     pi, beta, s, c = spec.pi, spec.beta, spec.s, spec.c
+    prefactor, exponent = spec.distance.prefactor, spec.distance.exponent
     try:
         W, overflow = cost.work(n), None
     except OverflowError as exc:
@@ -139,7 +134,13 @@ def _f_terms(spec: ComputerSpec, cost: AlgorithmCost, n: float):
         try:
             if overflow:
                 raise overflow
-            Q, t_lat = io(n, s * v), distance(wavefront(v, n)) / c
+            Q, L = io(n, s * v), wavefront(v, n)
+            try:
+                t_lat = prefactor * L**exponent / c
+            except OverflowError:  # L**exponent alone may overflow where t_lat fits
+                t_lat = math.inf
+            if not math.isfinite(t_lat):
+                t_lat = _powprod(prefactor, (L, exponent), (c, -1.0))
         except OverflowError as exc:
             raise EvaluationError(f"cost overflowed a double (n={n!r}, v={v!r})") from exc
         t_work, t_io = _ratio(W, pi, v), _ratio(Q, beta, v)

@@ -127,6 +127,12 @@ def minimize_bounded(f: Callable[[float], float], lo: float, hi: float) -> OptRe
     return OptResult(x_star=x, f_star=fx, iterations=it, converged=converged, method="brent")
 
 
+def linspace(lo: float, hi: float, points: int) -> list[float]:
+    """points >= 2 evenly spaced floats: lo + i*step, then hi exactly (np.linspace's values)."""
+    step = (hi - lo) / (points - 1)
+    return [lo + i * step for i in range(points - 1)] + [float(hi)]
+
+
 def grid_refine(f: Callable[[float], float], lo: float, hi: float) -> OptResult:
     """Repeated grid search, recursing on the bracket around the best sample.
 
@@ -136,23 +142,17 @@ def grid_refine(f: Callable[[float], float], lo: float, hi: float) -> OptResult:
     """
     if not lo < hi:
         raise ValueError(f"invalid bracket: lo={lo!r} must be < hi={hi!r}")
-    import numpy as np  # on first use, so importing homlim does not load numpy
-
-    points = GRID_POINTS
-    best_x = lo
-    best_f = math.inf
+    best_x, best_f = lo, math.inf
     evals = 0
     a, b = lo, hi
     for _ in range(GRID_ROUNDS):
-        grid = np.linspace(a, b, points)
-        vals = [_checked(f, float(x)) for x in grid]
-        evals += points
-        i = int(np.argmin(vals))
+        grid = linspace(a, b, GRID_POINTS)
+        vals = [_checked(f, x) for x in grid]
+        evals += GRID_POINTS
+        i = vals.index(min(vals))  # the first minimum
         if vals[i] < best_f:
-            best_f = vals[i]
-            best_x = float(grid[i])
-        a = float(grid[max(i - 1, 0)])
-        b = float(grid[min(i + 1, points - 1)])
+            best_f, best_x = vals[i], grid[i]
+        a, b = grid[max(i - 1, 0)], grid[min(i + 1, GRID_POINTS - 1)]
         if not a < b:
             break
 

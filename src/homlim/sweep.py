@@ -7,6 +7,7 @@ from itertools import product
 
 from .costs import AlgorithmCost
 from .model import ComputerSpec, classify_regime, optimal_volume, time_breakdown
+from .optimize import linspace
 
 AXIS_PARAMETERS = ("pi", "beta", "s", "c", "V", "n", "v")
 _SPEC_PARAMETERS = AXIS_PARAMETERS[:5]  # the ComputerSpec fields; n and v are the point's
@@ -60,13 +61,11 @@ class AxisSpec:
     def values(self) -> list[float]:
         if self.explicit is not None:
             return [float(x) for x in self.explicit]
-        import numpy as np  # on first use, so importing homlim does not load numpy
-
-        if self.spacing == "log":
-            values = np.logspace(math.log10(self.lo), math.log10(self.hi), self.points).tolist()
-            values[0], values[-1] = self.lo, self.hi  # logspace can miss its ends by an ulp
-            return values
-        return np.linspace(self.lo, self.hi, self.points).tolist()
+        if self.spacing == "linear":
+            return linspace(self.lo, self.hi, self.points)
+        # 10.0**x is libm's pow, so every host gets the same points; the ends are exact.
+        exps = linspace(math.log10(self.lo), math.log10(self.hi), self.points)[1:-1]
+        return [float(self.lo), *(10.0 ** x for x in exps), float(self.hi)]
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,14 @@ class TestSolve:
         assert data["v_star"] == pytest.approx(1e170, rel=1e-12)  # the floor 1e-30*V
         assert data["total"] == pytest.approx(1.33333333e32, rel=1e-8)
 
+    def test_distance_overflowing_a_double_though_t_lat_does_not(self, runner):
+        # D = 1e-90 * (1e200)**2 = 1e310 overflows a double, but t_lat = D/c = 1e290 fits.
+        result = runner.invoke(main, ["solve", "--v-total", "1e200", "--distance-exponent", "2",
+                                      "--distance-prefactor", "1e-90", "--c", "1e20",
+                                      "--n", "1e6", "--v", "1e200"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["t_lat"] == pytest.approx(4.0e290, rel=1e-12)
+
     @pytest.mark.parametrize("config", [
         "cost_a = 1e400\n",
         "cost_a = 1\ncost_p = 1\ncost_q = 1\ncost_r = -1e400\n",

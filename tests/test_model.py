@@ -22,14 +22,24 @@ UNIT_COST = AlgorithmCost(
 )
 
 
+def _t_lat(distance: DistanceFn, L: float, c: float = 1.0) -> float:
+    """t_lat = D(L)/c, as the model evaluates it, for a wavefront of L at every volume."""
+    spec = ComputerSpec(pi=1, beta=1, s=1, c=c, V=1e300, distance=distance)
+    cost = dataclasses.replace(UNIT_COST, wavefront=lambda v, n: L)
+    return time_breakdown(spec, cost, n=1, v=1.0).t_lat
+
+
 def test_distance_fn():
-    assert CUBE_ROOT(8.0) == pytest.approx(2.0)
-    assert SQUARE_ROOT(9.0) == pytest.approx(3.0)
-    assert CUBE_ROOT(0.0) == 0.0
-    # v**exponent overflows a double, the distance does not.
-    assert DistanceFn(1e-300, 2.0)(2e200) == pytest.approx(4e100, rel=1e-12)
-    with pytest.raises(OverflowError):
-        DistanceFn(1e-10, 2.0)(1e200)
+    assert _t_lat(CUBE_ROOT, 8.0) == pytest.approx(2.0)
+    assert _t_lat(SQUARE_ROOT, 9.0) == pytest.approx(3.0)
+    assert _t_lat(CUBE_ROOT, 0.0) == 0.0
+    assert _t_lat(CUBE_ROOT, 27.0, c=3.0) == pytest.approx(1.0)
+    # L**exponent overflows a double, the distance does not.
+    assert _t_lat(DistanceFn(1e-300, 2.0), 2e200) == pytest.approx(4e100, rel=1e-12)
+    # The distance overflows a double, t_lat = D/c does not.
+    assert _t_lat(DistanceFn(1e-90, 2.0), 1e200, c=1e20) == pytest.approx(1e290, rel=1e-12)
+    with pytest.raises(EvaluationError, match="cost overflowed a double"):
+        _t_lat(DistanceFn(1e-10, 2.0), 1e200)
     with pytest.raises(ValueError):
         DistanceFn(prefactor=-1.0)
     with pytest.raises(ValueError):

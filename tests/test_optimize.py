@@ -5,7 +5,7 @@ import pytest
 
 import homlim.optimize
 from homlim.optimize import (BRENT_ABS_TOL, BRENT_REL_TOL, GRID_POINTS, NonFiniteObjectiveError,
-                             grid_refine, minimize_bounded)
+                             grid_refine, linspace, minimize_bounded)
 
 
 def test_quadratic_minimum():
@@ -121,6 +121,17 @@ def test_grid_refine_idempotent_from_bracket():
     r1 = grid_refine(f, 0.0, 10.0)
     r2 = grid_refine(f, max(r1.x_star - 0.5, 0.0), r1.x_star + 0.5)
     assert r2.f_star <= r1.f_star + 1e-9
+
+
+def test_grid_refine_keeps_the_first_minimum():
+    r = grid_refine(lambda x: 1.0, 2.0, 5.0)
+    assert (r.x_star, r.f_star) == (2.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi, points", [(0.0, 10.0, 11), (0.52, 69.6, GRID_POINTS),
+                                            (-69.08, 7.56, 20), (3.0, 30.0, 20)])
+def test_linspace_is_numpys_bit_for_bit(lo, hi, points):
+    assert linspace(lo, hi, points) == np.linspace(lo, hi, points).tolist()
 
 
 def test_brent_matches_dense_grid_on_random_smooth_objectives():
